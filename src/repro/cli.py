@@ -21,7 +21,7 @@
     python -m repro serve --socket         # long-lived TCP front end (SIGTERM drains)
     python -m repro serve --socket --log-file serve.jsonl  # + structured JSONL log
     python -m repro top --port 9000 --once # live per-shard table off /metrics
-    python -m repro profile --suite dracc --benchmark 22   # telemetry -> trace.json
+    python -m repro profile --suite dracc --benchmark 22   # metrics + spans -> trace.json
     python -m repro report [--suite buggy] # findings + provenance -> report.jsonl
     python -m repro diff old.jsonl new.jsonl  # cross-run regression gate
     python -m repro diff --history BENCH_history.jsonl old.json new.json
@@ -649,7 +649,7 @@ def _cmd_top(args: argparse.Namespace) -> int:
 
 def _cmd_profile(args: argparse.Namespace) -> int:
     from .harness import PROFILE_CLOCKS, PROFILE_SUITES, run_profile
-    from .telemetry import render_self_time_table
+    from .observe.core import render_self_time_table
 
     if args.suite not in PROFILE_SUITES:
         print(
@@ -679,14 +679,13 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     except OSError as exc:
         print(f"repro profile: error: {exc}", file=sys.stderr)
         return 2
-    telemetry = payload["telemetry"]
     print(
         f"profiled {payload['target']} under arbalest "
         f"(clock={payload['clock']}, {payload['span_count']} spans across "
         f"layers: {', '.join(payload['span_layers'])})"
     )
     print()
-    print(render_self_time_table(telemetry))
+    print(render_self_time_table(payload["observation"].spans))
     snapshot = payload["snapshot"]
     gauges = snapshot["gauges"]
     print()
@@ -856,7 +855,7 @@ def build_parser() -> argparse.ArgumentParser:
     pb.add_argument(
         "--telemetry",
         action="store_true",
-        help="measure inside a telemetry scope and embed the metric snapshot",
+        help="measure inside a metrics scope and embed the metric snapshot",
     )
     pb.add_argument(
         "--history",
@@ -988,7 +987,7 @@ def build_parser() -> argparse.ArgumentParser:
     px.add_argument(
         "--telemetry",
         action="store_true",
-        help="run inside a telemetry scope and embed the metric snapshot",
+        help="run inside a metrics scope and embed the metric snapshot",
     )
     px.add_argument(
         "--report",
@@ -1136,7 +1135,7 @@ def build_parser() -> argparse.ArgumentParser:
     pt.set_defaults(fn=_cmd_top)
 
     pp = sub.add_parser(
-        "profile", help="one workload with full telemetry -> trace.json"
+        "profile", help="one workload fully observed -> trace.json"
     )
     # Suite/benchmark/workload are validated by hand for one-line errors.
     pp.add_argument("--suite", default="dracc")

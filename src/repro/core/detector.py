@@ -41,9 +41,8 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from ..events.source import UNKNOWN_LOCATION
-from ..forensics import recorder as _forensics
 from ..memory.layout import GRANULE
-from ..telemetry import registry as _telemetry
+from ..observe import core as _obs
 from ..events.columnar import first_occurrence_passes
 from ..tools.archer import RaceEngine
 from ..tools.base import Tool
@@ -243,9 +242,11 @@ class Arbalest(Tool):
     # -- OMPT data operations ------------------------------------------------
 
     def on_data_op(self, op: "DataOp") -> None:
-        telemetry = _telemetry.ACTIVE
-        if telemetry is not None:
-            with telemetry.span(
+        obs = _obs.ACTIVE
+        if obs is None or obs.spans is None:
+            self._handle_data_op(op)
+        else:
+            with obs.spans.span(
                 "detector",
                 f"data_op:{op.kind.value}",
                 tid=op.thread_id,
@@ -253,13 +254,13 @@ class Arbalest(Tool):
                 nbytes=op.nbytes,
             ):
                 self._handle_data_op(op)
-            telemetry.gauge("detector.live_mappings", len(self.mappings))
-            telemetry.gauge("detector.shadow_bytes", self.shadows.shadow_bytes)
+        metrics = obs.metrics if obs is not None else None
+        if metrics is not None:
+            metrics.gauge("detector.live_mappings", len(self.mappings))
+            metrics.gauge("detector.shadow_bytes", self.shadows.shadow_bytes)
             hits, misses = self.mapping_lookup_stats()
-            telemetry.gauge("detector.lookup_hits", hits)
-            telemetry.gauge("detector.lookup_misses", misses)
-            return
-        self._handle_data_op(op)
+            metrics.gauge("detector.lookup_hits", hits)
+            metrics.gauge("detector.lookup_misses", misses)
 
     def _handle_data_op(self, op: "DataOp") -> None:
         self._invalidate_lookup_caches()
@@ -346,8 +347,9 @@ class Arbalest(Tool):
 
     def _quarantine(self, reason: str, op: "DataOp", detail: str = "") -> None:
         """Log one quarantined event (impossible per current bookkeeping)."""
-        if _telemetry.ACTIVE is not None:
-            _telemetry.ACTIVE.count(f"detector.quarantine.{reason}")
+        obs = _obs.ACTIVE
+        if obs is not None and obs.metrics is not None:
+            obs.metrics.count(f"detector.quarantine.{reason}")
         self.quarantine_log.append(
             {
                 "reason": reason,
@@ -367,7 +369,8 @@ class Arbalest(Tool):
         if block is None:
             return
         idx = block.index_range(ov_address, nbytes)
-        recorder = _forensics.ACTIVE
+        obs = _obs.ACTIVE
+        recorder = obs.recorder if obs is not None else None
         if recorder is None:
             block.apply(idx, vsm_op, op.device_id)
             return
@@ -379,6 +382,7 @@ class Arbalest(Tool):
         recorder.record(
             block.label,
             _DATA_OP_EVENT_KINDS[op.kind.value],
+            ordinal=obs.clock.tick(),
             device_id=op.device_id,
             location=op.stack[0] if op.stack else UNKNOWN_LOCATION,
             state_before=before,
@@ -391,18 +395,19 @@ class Arbalest(Tool):
     # ------------------------------------------------------------------
 
     def on_access(self, access: "Access") -> None:
-        telemetry = _telemetry.ACTIVE
+        obs = _obs.ACTIVE
+        metrics = obs.metrics if obs is not None else None
         if access.device_id == 0:
-            if telemetry is not None:
-                telemetry.count("detector.accesses.host")
+            if metrics is not None:
+                metrics.count("detector.accesses.host")
             certified_skip = self._host_access(access)
         else:
-            if telemetry is not None:
-                telemetry.count("detector.accesses.device")
+            if metrics is not None:
+                metrics.count("detector.accesses.device")
             certified_skip = self._device_access(access)
         if certified_skip:
-            if telemetry is not None:
-                telemetry.count("staticlint.access_skips")
+            if metrics is not None:
+                metrics.count("staticlint.access_skips")
             return  # statically proven safe: no VSM, no race check
         if self.race_engine is not None:
             self._race_check(access)
@@ -446,7 +451,9 @@ class Arbalest(Tool):
         wholesale: both sample per-event state around each transition.
         """
         accesses = batch.accesses
-        if _forensics.ACTIVE is not None or self.record_access_metadata:
+        obs = _obs.ACTIVE
+        recording = obs is not None and obs.recorder is not None
+        if recording or self.record_access_metadata:
             on_access = self.on_access
             for access in accesses:
                 on_access(access)
@@ -537,9 +544,9 @@ class Arbalest(Tool):
         self, accesses, cols, cat, ri, bi, gran, recs, blocks, start, stop
     ) -> None:
         """Vector-process one run of fast-path-eligible device accesses."""
-        telemetry = _telemetry.ACTIVE
-        if telemetry is not None:
-            telemetry.count("detector.accesses.device", stop - start)
+        obs = _obs.ACTIVE
+        if obs is not None and obs.metrics is not None:
+            obs.metrics.count("detector.accesses.device", stop - start)
         seg = np.arange(start, stop)
         c = cat[start:stop]
         n_cert = int((c == 1).sum())
@@ -551,8 +558,8 @@ class Arbalest(Tool):
             n_sec = int(sec_flags[ri[seg[c == 1]]].sum())
             if n_sec:
                 self.cert_section_skips += n_sec
-            if telemetry is not None:
-                telemetry.count("staticlint.access_skips", n_cert)
+            if obs is not None and obs.metrics is not None:
+                obs.metrics.count("staticlint.access_skips", n_cert)
         is_write = cols.is_write
         # (position, phase, access, uninit) — phase 0 = VSM issue, 1 = race;
         # sorted at the end to reproduce the scalar engine's report order.
@@ -747,7 +754,8 @@ class Arbalest(Tool):
             ):
                 # Scalar fast path: the whole access lives in one granule
                 # (the overwhelmingly common case), so skip numpy entirely.
-                recorder = _forensics.ACTIVE
+                obs = _obs.ACTIVE
+                recorder = obs.recorder if obs is not None else None
                 before = block.state_label(lo) if recorder is not None else ""
                 illegal = uninit = False
                 first = True
@@ -764,6 +772,7 @@ class Arbalest(Tool):
                         recorder.record(
                             block.label,
                             access.kind_label,
+                            ordinal=obs.clock.tick(),
                             device_id=access.device_id,
                             location=access.location,
                             state_before=before,
@@ -796,7 +805,8 @@ class Arbalest(Tool):
                 local = np.unique(np.concatenate([first, last]))
             local = local[(local >= 0) & (local < block.n_granules)]
             idx = local
-        recorder = _forensics.ACTIVE
+        obs = _obs.ACTIVE
+        recorder = obs.recorder if obs is not None else None
         rec_first: int | None = None
         before = ""
         if recorder is not None:
@@ -821,6 +831,7 @@ class Arbalest(Tool):
                 recorder.record(
                     block.label,
                     access.kind_label,
+                    ordinal=obs.clock.tick(),
                     device_id=access.device_id,
                     location=access.location,
                     state_before=before,

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..telemetry import registry as _telemetry
+from ..observe import core as _obs
 from .interval_tree import IntervalTree
 from .shadow import ShadowBlock
 
@@ -231,8 +231,9 @@ class ShadowRegistry:
             self._skipped[base] = base + nbytes
             self.skipped_blocks += 1
             self.skipped_bytes += nbytes
-            if _telemetry.ACTIVE is not None:
-                _telemetry.ACTIVE.count("staticlint.shadow_skips")
+            obs = _obs.ACTIVE
+            if obs is not None and obs.metrics is not None:
+                obs.metrics.count("staticlint.shadow_skips")
             return None
         granule = self.granule
         if self.budget_bytes is not None:
@@ -241,9 +242,10 @@ class ShadowRegistry:
                 granule = max(granule, nbytes)
                 self.coarsened_blocks += 1
                 self.coarsened_bytes += nbytes
-                if _telemetry.ACTIVE is not None:
-                    _telemetry.ACTIVE.count("detector.shadow_coarsenings")
-                    _telemetry.ACTIVE.observe(
+                obs = _obs.ACTIVE
+                if obs is not None and obs.metrics is not None:
+                    obs.metrics.count("detector.shadow_coarsenings")
+                    obs.metrics.observe(
                         "detector.coarsened_block_bytes", nbytes
                     )
         block = self._make_block(base, nbytes, granule, label)
@@ -272,8 +274,9 @@ class ShadowRegistry:
         self._section_ranges[base] = (byte_lo, byte_hi)
         self.section_blocks += 1
         self.section_bytes += byte_hi - byte_lo
-        if _telemetry.ACTIVE is not None:
-            _telemetry.ACTIVE.count("staticlint.section_grants")
+        obs = _obs.ACTIVE
+        if obs is not None and obs.metrics is not None:
+            obs.metrics.count("staticlint.section_grants")
 
     def section_for_base(self, base: int) -> tuple[int, int] | None:
         """The certified byte subrange of the block at ``base``, if any."""

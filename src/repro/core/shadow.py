@@ -36,7 +36,7 @@ import numpy as np
 
 from ..memory.errors import ShadowEncodingError
 from ..memory.layout import GRANULE
-from ..telemetry import registry as _telemetry
+from ..observe import core as _obs
 from .states import ILLEGAL, TRANSITIONS, VsmOp, VsmState
 
 # -- Table II bit positions --------------------------------------------------
@@ -293,9 +293,9 @@ class ShadowBlock:
                     n = len(self._words)
                     new_w, ill, uni = _step_word(u, op)
                     self._uniform = new_w
-                    telemetry = _telemetry.ACTIVE
-                    if telemetry is not None:
-                        telemetry.count(_TRANSITION_KEYS[op][u & 0b11], n)
+                    obs = _obs.ACTIVE
+                    if obs is not None and obs.metrics is not None:
+                        obs.metrics.count(_TRANSITION_KEYS[op][u & 0b11], n)
                     return _const_bool(ill, n), _const_bool(uni, n)
                 # Uniform-range fast path: whole-array data ops and kernel
                 # accesses usually find every granule in one state, so one
@@ -308,19 +308,19 @@ class ShadowBlock:
                     old = int(w0[0])
                     new_w, ill, uni = _step_word(old, op)
                     words[idx] = new_w
-                    telemetry = _telemetry.ACTIVE
-                    if telemetry is not None:
-                        telemetry.count(_TRANSITION_KEYS[op][old & 0b11], n)
+                    obs = _obs.ACTIVE
+                    if obs is not None and obs.metrics is not None:
+                        obs.metrics.count(_TRANSITION_KEYS[op][old & 0b11], n)
                     return _const_bool(ill, n), _const_bool(uni, n)
         w = self.words[idx]
         st = (w & MASK_STATE).astype(np.intp)
-        telemetry = _telemetry.ACTIVE
-        if telemetry is not None:
+        obs = _obs.ACTIVE
+        if obs is not None and obs.metrics is not None:
             counts = np.bincount(st, minlength=4)
             keys = _TRANSITION_KEYS[op]
             for state_code in range(4):
                 if counts[state_code]:
-                    telemetry.count(keys[state_code], int(counts[state_code]))
+                    obs.metrics.count(keys[state_code], int(counts[state_code]))
         illegal = ILLEGAL_LUT[op][st]
         if op is VsmOp.READ_HOST:
             uninit = illegal & ((w >> np.uint64(BIT_OV_INIT)) & _U64_1 == 0)
@@ -363,17 +363,17 @@ class ShadowBlock:
                 self._uniform = new_w
             else:
                 self._materialize()[i] = new_w
-            telemetry = _telemetry.ACTIVE
-            if telemetry is not None:
-                telemetry.count(_TRANSITION_KEYS[op][u & 0b11])
+            obs = _obs.ACTIVE
+            if obs is not None and obs.metrics is not None:
+                obs.metrics.count(_TRANSITION_KEYS[op][u & 0b11])
             return illegal, uninit
         words = self._words
         old = int(words[i])
         new_w, illegal, uninit = _step_word(old, op)
         words[i] = new_w
-        telemetry = _telemetry.ACTIVE
-        if telemetry is not None:
-            telemetry.count(_TRANSITION_KEYS[op][old & 0b11])
+        obs = _obs.ACTIVE
+        if obs is not None and obs.metrics is not None:
+            obs.metrics.count(_TRANSITION_KEYS[op][old & 0b11])
         return illegal, uninit
 
     def apply_ops(self, idx: np.ndarray, ops: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -400,11 +400,11 @@ class ShadowBlock:
         )
         w = (w & ~MASK_STATE) | TRANS_LUT[ops, st]
         words[idx] = w
-        telemetry = _telemetry.ACTIVE
-        if telemetry is not None:
+        obs = _obs.ACTIVE
+        if obs is not None and obs.metrics is not None:
             combo = np.bincount(ops * 4 + st, minlength=16)
             for code in np.flatnonzero(combo):
-                telemetry.count(
+                obs.metrics.count(
                     _TRANSITION_KEYS[code >> 2][code & 3], int(combo[code])
                 )
         return illegal, uninit

@@ -22,21 +22,21 @@ Two robustness roles ride on top of dispatch:
   may be perturbed (dropped/duplicated/reordered events) before delivery.
   Only the tools' *view* changes; the simulated program is untouched.
 
-When a telemetry registry is active (:data:`repro.telemetry.registry.ACTIVE`)
-the bus additionally traces its fan-out: every non-access publish wraps each
+When an observation is active (:data:`repro.observe.core.ACTIVE`) the bus
+additionally observes its fan-out: every non-access publish wraps each
 tool handler in a ``bus``-category span, access publishes are counted (one
-span per access would dwarf the trace), and isolated handler failures bump
-per-(tool, handler) error counters.  With telemetry disabled each publish
-pays one attribute check and nothing else.
+span per access would dwarf the trace) and fed to the sampling profiler,
+and isolated handler failures bump per-(tool, handler) error counters.
+With observability off each publish pays one attribute check and nothing
+else.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterable
+from typing import TYPE_CHECKING
 
-from ..observe import prof as _prof
-from ..telemetry import registry as _telemetry
+from ..observe import core as _obs
 
 from .columnar import BATCH_CAP, MIN_BATCH, EventBatch
 from .records import (
@@ -158,9 +158,9 @@ class ToolBus:
         if self.strict:
             raise exc
         tool_name = getattr(tool, "name", type(tool).__name__)
-        telemetry = _telemetry.ACTIVE
-        if telemetry is not None:
-            telemetry.count(f"bus.tool_errors.{tool_name}.{handler}")
+        obs = _obs.ACTIVE
+        if obs is not None and obs.metrics is not None:
+            obs.metrics.count(f"bus.tool_errors.{tool_name}.{handler}")
         self.errors.append(
             ToolErrorRecord(
                 tool=tool_name,
@@ -187,16 +187,28 @@ class ToolBus:
 
     # -- dispatch -----------------------------------------------------------
 
-    def _publish_instrumented(
-        self, tools: tuple["Tool", ...], handler: str, event
-    ) -> None:
-        """Telemetry-enabled fan-out: one ``bus`` span per tool handler."""
-        telemetry = _telemetry.ACTIVE
-        telemetry.count(f"bus.events.{handler}")
+    def _fan_out(self, tools: tuple["Tool", ...], handler: str, event, obs) -> None:
+        """Deliver one non-access event to ``tools``, isolating failures.
+
+        With a span sink, each handler call is one ``bus`` span (``obs`` is
+        the caller's one load of :data:`repro.observe.core.ACTIVE`).
+        """
+        spans = None
+        if obs is not None:
+            if obs.metrics is not None:
+                obs.metrics.count(f"bus.events.{handler}")
+            spans = obs.spans
+        if spans is None:
+            for tool in tools:
+                try:
+                    getattr(tool, handler)(event)
+                except Exception as exc:
+                    self._tool_error(tool, handler, exc)
+            return
         tid = getattr(event, "thread_id", 0)
         for tool in tools:
             name = getattr(tool, "name", type(tool).__name__)
-            with telemetry.span("bus", f"{name}.{handler}", tid=tid):
+            with spans.span("bus", f"{name}.{handler}", tid=tid):
                 try:
                     getattr(tool, handler)(event)
                 except Exception as exc:
@@ -213,23 +225,16 @@ class ToolBus:
             if len(pending) >= BATCH_CAP:
                 self.flush_batch()
             return
-        profiler = _prof.ACTIVE
-        if profiler is not None:
-            profiler.access_event(access, self._access)
-        telemetry = _telemetry.ACTIVE
-        if telemetry is None:
-            # Telemetry disabled: one global load, then straight dispatch —
-            # no counter lookups on the per-access hot path.
-            for tool in self._access:
-                try:
-                    tool.on_access(access)
-                except Exception as exc:
-                    self._tool_error(tool, "on_access", exc)
-            return
-        # Counters, not spans: accesses are the hot path, and a span per
-        # access would bury every other event in the trace.
-        telemetry.count("bus.events.on_access")
-        telemetry.count("bus.access_fanout", len(self._access))
+        obs = _obs.ACTIVE
+        if obs is not None:
+            if obs.profiler is not None:
+                obs.profiler.access_event(access, self._access)
+            # Counters, not spans: accesses are the hot path, and a span
+            # per access would bury every other event in the trace.
+            metrics = obs.metrics
+            if metrics is not None:
+                metrics.count("bus.events.on_access")
+                metrics.count("bus.access_fanout", len(self._access))
         for tool in self._access:
             try:
                 tool.on_access(access)
@@ -246,16 +251,18 @@ class ToolBus:
         if not pending:
             return
         self._batch_pending = []
-        profiler = _prof.ACTIVE
-        if profiler is not None:
-            # Same ordinal clock as the scalar path: the batch advances one
-            # ordinal per access, so sample positions match across engines.
-            profiler.batch_events(pending, self._access)
-        telemetry = _telemetry.ACTIVE
-        if telemetry is not None:
-            telemetry.count("bus.batches")
-            telemetry.count("bus.events.on_access", len(pending))
-            telemetry.count("bus.access_fanout", len(pending) * len(self._access))
+        obs = _obs.ACTIVE
+        if obs is not None:
+            if obs.profiler is not None:
+                # Same sampling countdown as the scalar path: each access
+                # advances it by its element count, so sample positions
+                # match across engines.
+                obs.profiler.batch_events(pending, self._access)
+            metrics = obs.metrics
+            if metrics is not None:
+                metrics.count("bus.batches")
+                metrics.count("bus.events.on_access", len(pending))
+                metrics.count("bus.access_fanout", len(pending) * len(self._access))
         if len(pending) < MIN_BATCH:
             # Bulk-kernel traffic: a few large accesses per window.  The
             # vectorized setup cost dwarfs per-event dispatch here, so hand
@@ -280,19 +287,9 @@ class ToolBus:
             self.flush_batch()
         if self.chaos is not None:
             for event in self.chaos.perturb_data_op(op):
-                self._fan_out_data_op(event)
+                self._fan_out(self._data_op, "on_data_op", event, _obs.ACTIVE)
         else:
-            self._fan_out_data_op(op)
-
-    def _fan_out_data_op(self, op: DataOp) -> None:
-        if _telemetry.ACTIVE is not None:
-            self._publish_instrumented(self._data_op, "on_data_op", op)
-            return
-        for tool in self._data_op:
-            try:
-                tool.on_data_op(op)
-            except Exception as exc:
-                self._tool_error(tool, "on_data_op", exc)
+            self._fan_out(self._data_op, "on_data_op", op, _obs.ACTIVE)
 
     def flush_chaos(self) -> None:
         """Deliver any chaos-held (reordered) data op at end of run."""
@@ -301,69 +298,34 @@ class ToolBus:
         if self.chaos is None:
             return
         for event in self.chaos.drain():
-            self._fan_out_data_op(event)
+            self._fan_out(self._data_op, "on_data_op", event, _obs.ACTIVE)
 
     def publish_kernel(self, event: KernelEvent) -> None:
         if self._batch_pending:
             self.flush_batch()
-        profiler = _prof.ACTIVE
-        if profiler is not None:
-            profiler.kernel_event(
+        obs = _obs.ACTIVE
+        if obs is not None and obs.profiler is not None:
+            obs.profiler.kernel_event(
                 event.name if event.phase is KernelPhase.BEGIN else "host"
             )
-        if _telemetry.ACTIVE is not None:
-            self._publish_instrumented(self._kernel, "on_kernel", event)
-            return
-        for tool in self._kernel:
-            try:
-                tool.on_kernel(event)
-            except Exception as exc:
-                self._tool_error(tool, "on_kernel", exc)
+        self._fan_out(self._kernel, "on_kernel", event, obs)
 
     def publish_allocation(self, event: AllocationEvent) -> None:
         if self._batch_pending:
             self.flush_batch()
-        if _telemetry.ACTIVE is not None:
-            self._publish_instrumented(self._allocation, "on_allocation", event)
-            return
-        for tool in self._allocation:
-            try:
-                tool.on_allocation(event)
-            except Exception as exc:
-                self._tool_error(tool, "on_allocation", exc)
+        self._fan_out(self._allocation, "on_allocation", event, _obs.ACTIVE)
 
     def publish_sync(self, event: SyncEvent) -> None:
         if self._batch_pending:
             self.flush_batch()
-        if _telemetry.ACTIVE is not None:
-            self._publish_instrumented(self._sync, "on_sync", event)
-            return
-        for tool in self._sync:
-            try:
-                tool.on_sync(event)
-            except Exception as exc:
-                self._tool_error(tool, "on_sync", exc)
+        self._fan_out(self._sync, "on_sync", event, _obs.ACTIVE)
 
     def publish_flush(self, event: FlushEvent) -> None:
         if self._batch_pending:
             self.flush_batch()
-        if _telemetry.ACTIVE is not None:
-            self._publish_instrumented(self._flush, "on_flush", event)
-            return
-        for tool in self._flush:
-            try:
-                tool.on_flush(event)
-            except Exception as exc:
-                self._tool_error(tool, "on_flush", exc)
+        self._fan_out(self._flush, "on_flush", event, _obs.ACTIVE)
 
     def publish_memcpy(self, event: MemcpyEvent) -> None:
         if self._batch_pending:
             self.flush_batch()
-        if _telemetry.ACTIVE is not None:
-            self._publish_instrumented(self._memcpy, "on_memcpy", event)
-            return
-        for tool in self._memcpy:
-            try:
-                tool.on_memcpy(event)
-            except Exception as exc:
-                self._tool_error(tool, "on_memcpy", exc)
+        self._fan_out(self._memcpy, "on_memcpy", event, _obs.ACTIVE)

@@ -1,29 +1,18 @@
 """Finding forensics: flight recorder, provenance, reports, and diffing.
 
-Only the recorder is imported eagerly — :mod:`repro.tools.base` loads this
-package on the instrumented path, and the recorder depends on nothing but
-the event/source and telemetry layers.  The provenance/report/diff modules
+Only the recorder is imported eagerly — it depends on nothing but the
+event/source layer.  The recorder is a sink of the observability core
+(:mod:`repro.observe.core`), activated with ``scope(recorder=...)``.  The provenance/report/diff modules
 import the tools layer and are loaded lazily on first attribute access.
 """
 
-from .recorder import (
-    ACTIVE,
-    DEFAULT_CAPACITY,
-    FlightRecorder,
-    RecordedEvent,
-    VariableRing,
-    scope,
-    variable_at,
-)
+from .recorder import DEFAULT_CAPACITY, FlightRecorder, RecordedEvent, VariableRing
 
 __all__ = [
-    "ACTIVE",
     "DEFAULT_CAPACITY",
     "FlightRecorder",
     "RecordedEvent",
     "VariableRing",
-    "scope",
-    "variable_at",
     "Provenance",
     "build_provenance",
     "explain",

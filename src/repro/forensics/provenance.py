@@ -127,8 +127,10 @@ class Provenance:
         return "\n".join(lines)
 
 
-def build_provenance(recorder: FlightRecorder, finding: Finding) -> Finding:
-    """Attach a :class:`Provenance` snapshot to ``finding``.
+def build_provenance(
+    recorder: FlightRecorder, finding: Finding, ordinal: int
+) -> Finding:
+    """Attach a :class:`Provenance` snapshot to ``finding``, stamped ``ordinal``.
 
     The timeline is never empty: even when the ring holds nothing for the
     variable (a baseline tool's finding on an unlabelled range, say) the
@@ -140,7 +142,7 @@ def build_provenance(recorder: FlightRecorder, finding: Finding) -> Finding:
     else:
         events, dropped = (), 0
     terminal = RecordedEvent(
-        ordinal=recorder.tick(),
+        ordinal=ordinal,
         kind="finding",
         device_id=finding.device_id,
         variable=variable or "?",

@@ -13,32 +13,25 @@ Each variable gets its own bounded ring buffer (:class:`VariableRing`):
 memory stays bounded no matter how long the run is, and eviction is
 per-variable so a chatty array cannot push a quiet one's history out.
 
-Timestamps are **event ordinals**.  When a telemetry registry is active
-the recorder shares its ordinal clock (so provenance interleaves correctly
-with spans); otherwise it advances a private counter.  Either way two runs
-of a deterministic program produce byte-identical timelines.
-
-Scoping mirrors :mod:`repro.telemetry.registry` exactly: the module
-attribute :data:`ACTIVE` is ``None`` by default and every instrumentation
-site guards with a single attribute load — the disabled fast path performs
-no allocation at all (asserted by a tracemalloc test, like telemetry's).
+Timestamps are **event ordinals** from the clock of the
+:class:`~repro.observe.core.Observation` the recorder is a sink of: sites
+pass ``ordinal=obs.clock.tick()``, so provenance interleaves with spans and
+never goes backwards when another sink opens mid-run, and two runs of a
+deterministic program produce byte-identical timelines.  With
+observability off the recorder does not exist; sites reach it through the
+core's single ``ACTIVE`` switch.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from typing import TYPE_CHECKING, Iterator
+from collections import deque
+from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING
 
 from ..events.source import SourceLocation, UNKNOWN_LOCATION
-from ..telemetry import registry as _telemetry
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..tools.findings import Finding
-
-#: The currently active recorder, or ``None`` (forensics disabled).
-#: Instrumentation sites read this attribute directly; only :func:`scope`
-#: (and tests) should write it.
-ACTIVE: "FlightRecorder | None" = None
 
 #: Default per-variable ring capacity.  Sixty-four events comfortably hold
 #: every semantic event of the DRACC benchmarks and the interesting suffix
@@ -51,40 +44,18 @@ DEFAULT_CAPACITY = 64
 RETIRED_RANGES = 256
 
 
+@dataclass(slots=True, kw_only=True, eq=False)
 class RecordedEvent:
     """One event on one variable's timeline."""
 
-    __slots__ = (
-        "ordinal",
-        "kind",
-        "device_id",
-        "variable",
-        "state_before",
-        "state_after",
-        "location",
-        "detail",
-    )
-
-    def __init__(
-        self,
-        *,
-        ordinal: int,
-        kind: str,
-        device_id: int,
-        variable: str,
-        state_before: str = "",
-        state_after: str = "",
-        location: SourceLocation = UNKNOWN_LOCATION,
-        detail: str = "",
-    ) -> None:
-        self.ordinal = ordinal
-        self.kind = kind
-        self.device_id = device_id
-        self.variable = variable
-        self.state_before = state_before
-        self.state_after = state_after
-        self.location = location
-        self.detail = detail
+    ordinal: int
+    kind: str
+    device_id: int
+    variable: str
+    state_before: str = ""
+    state_after: str = ""
+    location: SourceLocation = UNKNOWN_LOCATION
+    detail: str = ""
 
     def to_json(self) -> dict:
         """Stable JSON form (insertion order is the schema order)."""
@@ -112,39 +83,26 @@ class RecordedEvent:
             parts.append(f"({self.detail})")
         return " ".join(parts)
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<RecordedEvent {self.render()}>"
 
-
-class VariableRing:
+class VariableRing(deque):
     """A bounded ring of :class:`RecordedEvent`; oldest events are evicted."""
-
-    __slots__ = ("capacity", "dropped", "_items", "_start")
 
     def __init__(self, capacity: int) -> None:
         if capacity < 1:
             raise ValueError(f"ring capacity must be positive, got {capacity}")
-        self.capacity = capacity
+        super().__init__(maxlen=capacity)
         #: How many events eviction has discarded (reported in provenance
         #: so a truncated timeline is never mistaken for a complete one).
         self.dropped = 0
-        self._items: list[RecordedEvent] = []
-        self._start = 0
 
     def append(self, event: RecordedEvent) -> None:
-        if len(self._items) < self.capacity:
-            self._items.append(event)
-        else:
-            self._items[self._start] = event
-            self._start = (self._start + 1) % self.capacity
+        if len(self) == self.maxlen:
             self.dropped += 1
+        super().append(event)
 
     def events(self) -> tuple[RecordedEvent, ...]:
         """The retained events, oldest first."""
-        return tuple(self._items[self._start :] + self._items[: self._start])
-
-    def __len__(self) -> int:
-        return len(self._items)
+        return tuple(self)
 
 
 class FlightRecorder:
@@ -162,22 +120,10 @@ class FlightRecorder:
             raise ValueError(f"recorder capacity must be positive, got {capacity}")
         self.capacity = capacity
         self.rings: dict[str, VariableRing] = {}
-        #: Private ordinal clock, used only when no telemetry is active.
-        self.ordinal = 0
         #: Total events recorded (rings may have evicted some of them).
         self.records = 0
         self._ranges: list[tuple[int, int, int, str]] = []
         self._retired: list[tuple[int, int, int, str]] = []
-
-    # -- clock -------------------------------------------------------------
-
-    def tick(self) -> int:
-        """The next event ordinal, shared with telemetry when active."""
-        t = _telemetry.ACTIVE
-        if t is not None:
-            return t.tick()
-        self.ordinal += 1
-        return self.ordinal
 
     # -- recording ---------------------------------------------------------
 
@@ -186,18 +132,22 @@ class FlightRecorder:
         variable: str,
         kind: str,
         *,
+        ordinal: int,
         device_id: int = 0,
         location: SourceLocation = UNKNOWN_LOCATION,
         state_before: str = "",
         state_after: str = "",
         detail: str = "",
     ) -> RecordedEvent:
-        """Append one event to ``variable``'s ring (created on first use)."""
+        """Append one event to ``variable``'s ring (created on first use).
+
+        ``ordinal`` is the observation clock's next tick.
+        """
         ring = self.rings.get(variable)
         if ring is None:
             ring = self.rings[variable] = VariableRing(self.capacity)
         event = RecordedEvent(
-            ordinal=self.tick(),
+            ordinal=ordinal,
             kind=kind,
             device_id=device_id,
             variable=variable,
@@ -278,17 +228,13 @@ class FlightRecorder:
         if finding.variable or not finding.address:
             return finding
         variable = self.resolve_near(finding.device_id, finding.address)
-        if not variable:
-            return finding
-        from dataclasses import replace
+        return replace(finding, variable=variable) if variable else finding
 
-        return replace(finding, variable=variable)
-
-    def attach_provenance(self, finding: "Finding") -> "Finding":
-        """Snapshot this recorder into ``finding.provenance``."""
+    def attach_provenance(self, finding: "Finding", ordinal: int) -> "Finding":
+        """Snapshot this recorder into ``finding.provenance`` at ``ordinal``."""
         from .provenance import build_provenance
 
-        return build_provenance(self, finding)
+        return build_provenance(self, finding, ordinal)
 
     # -- accounting --------------------------------------------------------
 
@@ -298,26 +244,3 @@ class FlightRecorder:
         retained = sum(len(ring) for ring in self.rings.values())
         return retained * per_event + (len(self._ranges) + len(self._retired)) * 48
 
-
-def variable_at(device_id: int, address: int) -> str:
-    """Module-level resolve helper for tool finding sites.
-
-    Returns ``""`` when no recorder is active, so callers can pass the
-    result straight to ``Finding(variable=...)`` unconditionally.
-    """
-    rec = ACTIVE
-    if rec is None:
-        return ""
-    return rec.resolve(device_id, address)
-
-
-@contextmanager
-def scope(recorder: FlightRecorder) -> Iterator[FlightRecorder]:
-    """Activate ``recorder`` for the dynamic extent of the block (re-entrant)."""
-    global ACTIVE
-    previous = ACTIVE
-    ACTIVE = recorder
-    try:
-        yield recorder
-    finally:
-        ACTIVE = previous

@@ -245,8 +245,8 @@ def run_chaos(
 ) -> dict:
     """Run a campaign and write the tracked ``BENCH_chaos.json`` report.
 
-    ``telemetry=True`` runs the campaign inside a metrics-only telemetry
-    scope (event-ordinal clock, no spans) and embeds the snapshot under a
+    ``telemetry=True`` runs the campaign inside a metrics-only observation
+    scope (no span sink) and embeds the metric snapshot under a
     ``"telemetry"`` key — recovery counters (retries, rollbacks, quarantine
     reasons) become visible per campaign instead of per debugger session.
 
@@ -256,10 +256,9 @@ def run_chaos(
     full provenance timelines.
     """
     if telemetry:
-        from ..telemetry import Telemetry, scope
+        from ..observe.core import scope
 
-        registry = Telemetry(record_spans=False)
-        with scope(registry):
+        with scope(metrics=True) as observation:
             payload = run_chaos_campaign(
                 seed=seed,
                 schedules=schedules,
@@ -267,7 +266,7 @@ def run_chaos(
                 suite=suite,
                 engine=engine,
             )
-        payload["telemetry"] = registry.snapshot()
+        payload["telemetry"] = observation.snapshot()
     else:
         payload = run_chaos_campaign(
             seed=seed,

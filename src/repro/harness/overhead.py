@@ -27,8 +27,8 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 from ..observe.history import append_history, run_meta
+from ..observe.core import scope
 from ..observe.prof import DEFAULT_STRIDE, Governor, Profiler
-from ..observe.prof import scope as _prof_scope
 from ..openmp.runtime import TargetRuntime
 from ..specaccel.workloads import WORKLOADS, Workload
 from .precision import TOOL_FACTORIES, TOOL_ORDER
@@ -180,7 +180,7 @@ def measure_one(
                     stride=DEFAULT_STRIDE, governor=Governor()
                 )
             profiler.set_context(benchmark=workload.name, phase="host")
-            run_scope = _prof_scope(profiler)
+            run_scope = scope(profiler=profiler)
         elif config == "arbalest-cert":
             from ..core.detector import Arbalest
             from ..staticlint import spec_certificates
@@ -192,11 +192,10 @@ def measure_one(
         elif config == "arbalest-rec":
             from ..core.detector import Arbalest
             from ..forensics import FlightRecorder
-            from ..forensics import recorder as _forensics
 
             tool = Arbalest().attach(rt.machine)
             recorder = FlightRecorder()
-            run_scope = _forensics.scope(recorder)
+            run_scope = scope(recorder=recorder)
         elif config != "native":
             tool = TOOL_FACTORIES[config]().attach(rt.machine)
         # Collector pauses are the dominant run-to-run jitter at these
@@ -372,8 +371,8 @@ def run_bench(
 ) -> dict:
     """Run the Fig-8 matrix and write the tracked ``BENCH_fig8.json``.
 
-    ``telemetry=True`` measures the whole matrix inside an active telemetry
-    scope (event-ordinal clock) and embeds the metric snapshot under a
+    ``telemetry=True`` measures the whole matrix inside a metrics-only
+    observation scope and embeds the metric snapshot under a
     ``"telemetry"`` key — the timings then include the instrumentation
     cost, so only compare slowdowns among runs with the same setting.
 
@@ -386,17 +385,14 @@ def run_bench(
         # Fail before the minutes-long measurement, not after it.
         raise FileNotFoundError(f"output directory does not exist: {out_dir}")
     if telemetry:
-        from ..telemetry import Telemetry, scope
-
         # Metrics only: a span per event over the whole matrix would not
         # fit in memory, and the snapshot is what the tracked file embeds.
-        registry = Telemetry(record_spans=False)
-        with scope(registry):
+        with scope(metrics=True) as observation:
             result = run_overhead_comparison(
                 preset, repetitions=repetitions, engine=engine
             )
         payload = bench_payload(result, repetitions=repetitions)
-        payload["telemetry"] = registry.snapshot()
+        payload["telemetry"] = observation.snapshot()
     else:
         result = run_overhead_comparison(
             preset, repetitions=repetitions, engine=engine

@@ -1,4 +1,4 @@
-"""``repro profile``: run one workload with full telemetry and export it.
+"""``repro profile``: run one workload fully observed and export it.
 
 The profile harness is the observability counterpart of the overhead
 harness: instead of *one* end-to-end number per (workload, tool) cell it
@@ -27,8 +27,8 @@ import json
 from ..core.detector import Arbalest
 from ..dracc.registry import all_benchmarks, get as dracc_get
 from ..openmp.runtime import TargetRuntime
+from ..observe.core import chrome_trace, scope, self_times, write_trace
 from ..specaccel.workloads import WORKLOADS, workload as workload_get
-from ..telemetry import Telemetry, chrome_trace, scope, self_times
 
 #: Valid ``--suite`` selections for the profile CLI.
 PROFILE_SUITES = ("dracc", "specaccel")
@@ -47,7 +47,7 @@ def run_profile(
     output: str = "trace.json",
     metrics_output: str | None = None,
 ) -> dict:
-    """Run one target with telemetry on; write the trace; return the payload.
+    """Run one target observed (metrics + spans); write the trace; return the payload.
 
     ``suite="dracc"`` profiles DRACC benchmark ``benchmark`` on a
     two-accelerator machine; ``suite="specaccel"`` profiles SPEC ACCEL
@@ -64,8 +64,7 @@ def run_profile(
             f"unknown clock {clock!r} (valid choices: {', '.join(PROFILE_CLOCKS)})"
         )
 
-    telemetry = Telemetry(wall_clock=(clock == "wall"))
-    with scope(telemetry):
+    with scope(metrics=True, spans=True, wall_clock=(clock == "wall")) as obs:
         if suite == "dracc":
             bench = dracc_get(benchmark)  # KeyError -> caller's 1..56 message
             target = bench.name
@@ -81,18 +80,17 @@ def run_profile(
             rt.finalize()
         # Final internal-state gauges: surfaced here so the snapshot carries
         # the run's closing statistics, not just mid-run samples.
+        metrics = obs.metrics
         hits, misses = detector.mapping_lookup_stats()
-        telemetry.gauge("detector.lookup_hits", hits)
-        telemetry.gauge("detector.lookup_misses", misses)
+        metrics.gauge("detector.lookup_hits", hits)
+        metrics.gauge("detector.lookup_misses", misses)
         for key, value in detector.degradation_stats().items():
-            telemetry.gauge(f"detector.{key}", value)
-        telemetry.gauge("detector.shadow_bytes", detector.shadow_bytes())
+            metrics.gauge(f"detector.{key}", value)
+        metrics.gauge("detector.shadow_bytes", detector.shadow_bytes())
 
-    trace = chrome_trace(telemetry)
     with open(output, "w") as sink:
-        json.dump(trace, sink, indent=2, sort_keys=True)
-        sink.write("\n")
-    snapshot = telemetry.snapshot()
+        write_trace(chrome_trace([obs.spans]), sink)
+    snapshot = obs.snapshot()
     if metrics_output is not None:
         with open(metrics_output, "w") as sink:
             json.dump(snapshot, sink, indent=2, sort_keys=True)
@@ -104,12 +102,12 @@ def run_profile(
         "clock": clock,
         "output": output,
         "metrics_output": metrics_output,
-        "span_count": len(telemetry.spans),
-        "span_layers": sorted({s.cat for s in telemetry.spans}),
-        "self_times": self_times(telemetry),
+        "span_count": len(obs.spans),
+        "span_layers": sorted({s.cat for s in obs.spans.spans}),
+        "self_times": self_times(obs.spans),
         "snapshot": snapshot,
         "findings": len(detector.findings),
-        "telemetry": telemetry,
+        "observation": obs,
     }
 
 

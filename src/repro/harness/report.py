@@ -23,7 +23,7 @@ from ..dracc.registry import (
     clean_benchmarks,
 )
 from ..forensics import DEFAULT_CAPACITY, FlightRecorder
-from ..forensics import recorder as _recorder
+from ..observe.core import scope
 from ..forensics.report import SCHEMA, build_summary, finding_entry
 from ..openmp.runtime import TargetRuntime
 from .precision import TOOL_FACTORIES
@@ -72,7 +72,7 @@ def run_report(
         attached = {
             name: TOOL_FACTORIES[name]().attach(rt.machine) for name in tools
         }
-        with _recorder.scope(recorder):
+        with scope(recorder=recorder):
             bench.run(rt)
         for name in tools:
             for finding, count in attached[name].findings_with_counts():

@@ -49,7 +49,8 @@ from ..events.records import (
 )
 from ..events.trace_io import TraceWriter, read_trace
 from ..faults.plan import FaultKind, FaultPlan
-from ..forensics.recorder import FlightRecorder, scope as _forensics_scope
+from ..forensics.recorder import FlightRecorder
+from ..observe.core import scope
 from ..forensics.report import SCHEMA, build_summary, finding_entry
 from ..openmp.runtime import TargetRuntime
 from ..serve import (
@@ -123,7 +124,7 @@ def baseline_fingerprints(
         FlushEvent: bus.publish_flush,
     }
     recorder = FlightRecorder()
-    with _forensics_scope(recorder):
+    with scope(recorder=recorder):
         for event in events:
             register_forensic_ranges(recorder, event)
             dispatch[type(event)](event)
@@ -421,8 +422,8 @@ def run_serve_chaos_campaign(
     * every structured event (burns, clears, restarts, degradations)
       lands in one campaign-wide JSONL stream (``log_output``).
     """
-    from ..observe import CHAOS_SLOS, ObserveLog, ServeObserver, SpanLog
-    from ..observe.spans import spans_by_frame, stitch_traces
+    from ..observe import CHAOS_SLOS, ServeObserver
+    from ..observe.core import chrome_trace, spans_by_frame, write_trace
 
     tools = tuple(tools)
     benches = tuple(benchmarks) if benchmarks is not None else _suite(suite)
@@ -482,7 +483,7 @@ def run_serve_chaos_campaign(
                     # kills) until one stitched trace is captured.
                     want_spans = bool(kills) and stitched is None
                     observer = ServeObserver(
-                        log=ObserveLog(log_sink),
+                        log_sink=log_sink,
                         slos=CHAOS_SLOS,
                         cadence=watchdog_cadence,
                         trace_spans=want_spans,
@@ -490,7 +491,7 @@ def run_serve_chaos_campaign(
                     )
                     observer.log.event("chaos.run", **run_id)
                     if want_spans:
-                        client_spans = SpanLog("client")
+                        client_spans = observer.span_log("client")
                 server = AnalysisServer(
                     ServerConfig(
                         n_shards=n_shards,
@@ -566,9 +567,7 @@ def run_serve_chaos_campaign(
                         ]:
                             healthz_arc = arc
                     if client_spans is not None and stitched is None:
-                        document = stitch_traces(
-                            [client_spans] + observer.span_logs()
-                        )
+                        document = chrome_trace(observer.span_logs())
                         has_replay = any(
                             event.get("name") == "replay"
                             for event in document["traceEvents"]
@@ -582,8 +581,7 @@ def run_serve_chaos_campaign(
 
     if stitched is not None and trace_output is not None:
         with open(trace_output, "w") as sink:
-            json.dump(stitched, sink, indent=2, sort_keys=True)
-            sink.write("\n")
+            write_trace(stitched, sink)
 
     payload = {
         "seed": seed,

@@ -1,89 +1,59 @@
-"""``repro.observe`` — live operational observability for the serve stack.
+"""``repro.observe`` — observability for runs and for the live serve stack.
 
-PR-3's :mod:`repro.telemetry` measures one *run* after the fact; this
-package watches a *service* while it is up:
-
-* :mod:`~repro.observe.log` — structured JSONL event logging with the
-  ``ACTIVE``/``scope`` zero-overhead discipline;
-* :mod:`~repro.observe.spans` — per-process span logs and the stitcher
-  that merges client, server, and shard spans into one cross-process
-  Chrome trace, correlated by ``(client, seq)``;
+* :mod:`~repro.observe.core` — the one switch (``ACTIVE``/``scope``), the
+  one ordinal clock, the metrics and span sinks, and the one Chrome-trace
+  writer.  Every instrumented hot path checks ``core.ACTIVE`` once; the
+  flight recorder (:mod:`repro.forensics.recorder`) and the sampling
+  profiler are sinks of the same :class:`Observation`;
+* :mod:`~repro.observe.prof` — the deterministic sampling profiler;
+* :mod:`~repro.observe.log` — structured JSONL event logging;
 * :mod:`~repro.observe.slo` — declarative SLO specs and the burn/clear
   watchdog behind ``/healthz``;
-* :mod:`~repro.observe.observer` — the per-server bundle wiring all of
-  the above into the serve hot path;
-* :mod:`~repro.observe.metrics` — service-level snapshots and the
-  Prometheus text exposition served at ``/metrics``;
+* :mod:`~repro.observe.observer` — the per-server bundle wiring the log,
+  span logs, profiler and watchdog into the serve hot path;
 * :mod:`~repro.observe.health` — the ``/healthz`` and ``/readyz``
-  documents;
-* :mod:`~repro.observe.top` — the ``repro top`` scrape-and-render
-  client.
+  documents.
+
+Operator tooling is imported from its own module, never from here, so the
+instrumented hot path does not pay for it: :mod:`~repro.observe.metrics`
+(Prometheus exposition), :mod:`~repro.observe.top` (``repro top``),
+:mod:`~repro.observe.flame` (flamegraphs), :mod:`~repro.observe.history`
+and :mod:`~repro.observe.sentinel` (the bench ledger and its regression
+gate).
 """
 
-from .flame import parse_folded, render_flamegraph, write_flamegraph
-from .health import healthz, readyz
-from .history import (
-    DEFAULT_HISTORY,
-    HISTORY_SCHEMA,
-    append_history,
-    env_fingerprint,
-    history_entry,
-    load_history,
-    run_meta,
-    seed_history,
+from .core import (
+    Histogram,
+    Observation,
+    SpanLog,
+    chrome_trace,
+    scope,
+    spans_by_frame,
+    write_trace,
 )
+from .health import healthz, readyz
 from .log import ObserveLog
-from .metrics import render_prometheus, service_snapshot
 from .observer import ServeObserver, histogram_quantile
 from .prof import Governor, Profiler
-from .prof import scope as prof_scope
-from .sentinel import (
-    bootstrap_shift_ci,
-    mann_whitney,
-    metric_direction,
-    noise_thresholds,
-    render_sentinel,
-    run_sentinel,
-)
 from .slo import CHAOS_SLOS, DEFAULT_SLOS, SLOSpec, SLOWatchdog
-from .spans import SpanLog, spans_by_frame, stitch_traces, write_stitched_trace
-from .top import run_top
 
 __all__ = [
     "CHAOS_SLOS",
-    "DEFAULT_HISTORY",
     "DEFAULT_SLOS",
     "Governor",
-    "HISTORY_SCHEMA",
+    "Histogram",
     "ObserveLog",
+    "Observation",
     "Profiler",
     "SLOSpec",
     "SLOWatchdog",
     "ServeObserver",
     "SpanLog",
-    "append_history",
-    "bootstrap_shift_ci",
-    "env_fingerprint",
+    "chrome_trace",
     "healthz",
     "histogram_quantile",
-    "history_entry",
-    "load_history",
-    "mann_whitney",
-    "metric_direction",
-    "noise_thresholds",
-    "parse_folded",
-    "prof_scope",
     "readyz",
-    "render_flamegraph",
-    "render_prometheus",
-    "render_sentinel",
-    "run_meta",
-    "run_sentinel",
-    "run_top",
-    "seed_history",
-    "service_snapshot",
+    "scope",
     "spans_by_frame",
-    "stitch_traces",
-    "write_flamegraph",
-    "write_stitched_trace",
+    "write_trace",
 ]

@@ -9,31 +9,28 @@ same identity fields the wire format does:
 
 * ``event`` — dotted event name (``serve.listening``, ``worker.restart``,
   ``wire.decode_error``, ``slo.burn``, ...);
-* ``ordinal`` — the logger's own deterministic event-ordinal clock, so two
+* ``ordinal`` — the logger's deterministic event-ordinal
+  :class:`~repro.observe.core.Clock`, shared with the span logs of the
+  :class:`~repro.observe.observer.ServeObserver` that owns the log, so two
   runs of the same session log byte-identical streams (wall time never
   appears unless a site explicitly passes it);
 * ``client`` / ``seq`` / ``shard`` — the frame identity, when the event
   concerns one.
 
-Scoping mirrors :mod:`repro.telemetry.registry`: instrumentation sites
-consult the module attribute :data:`ACTIVE`, which is ``None`` by default —
-the disabled fast path is one attribute load and an ``is not None`` check,
-and no logger object exists.  ``repro serve --log-file`` activates one for
-the process; harnesses activate one per session.
+A log belongs to a :class:`~repro.observe.observer.ServeObserver`; serve
+sites reach it through their observer, so a server without one logs
+nothing and allocates nothing.
 """
 
 from __future__ import annotations
 
 import json
-from contextlib import contextmanager
-from typing import IO, Iterator
+from collections import deque
+from typing import IO
 
-__all__ = ["ACTIVE", "ObserveLog", "scope", "emit"]
+from .core import Clock
 
-#: The currently active logger, or ``None`` (structured logging disabled).
-#: Instrumentation sites read this attribute directly; only :func:`scope`
-#: (and explicit front-end wiring) should write it.
-ACTIVE: "ObserveLog | None" = None
+__all__ = ["ObserveLog"]
 
 
 class ObserveLog:
@@ -51,11 +48,9 @@ class ObserveLog:
         if capacity < 1:
             raise ValueError(f"log capacity must be positive, got {capacity}")
         self.sink = sink
-        self.capacity = capacity
-        self.entries: list[dict] = []
-        self.ordinal = 0
+        self.entries: deque[dict] = deque(maxlen=capacity)
+        self.clock = Clock()
         self.emitted = 0
-        self.evicted = 0
 
     def event(
         self,
@@ -67,8 +62,7 @@ class ObserveLog:
         **fields,
     ) -> dict:
         """Record one structured event; returns the entry that was logged."""
-        self.ordinal += 1
-        entry: dict = {"event": event, "ordinal": self.ordinal}
+        entry: dict = {"event": event, "ordinal": self.clock.tick()}
         if client is not None:
             entry["client"] = client
         if seq is not None:
@@ -81,9 +75,6 @@ class ObserveLog:
                 entry[key] = value
         self.emitted += 1
         self.entries.append(entry)
-        if len(self.entries) > self.capacity:
-            del self.entries[0]
-            self.evicted += 1
         if self.sink is not None:
             self.sink.write(
                 json.dumps(entry, sort_keys=True, separators=(",", ":")) + "\n"
@@ -101,29 +92,6 @@ class ObserveLog:
         return {
             "emitted": self.emitted,
             "retained": len(self.entries),
-            "evicted": self.evicted,
+            "evicted": self.emitted - len(self.entries),
         }
 
-
-@contextmanager
-def scope(log: ObserveLog) -> Iterator[ObserveLog]:
-    """Activate ``log`` for the dynamic extent of the block (re-entrant)."""
-    global ACTIVE
-    previous = ACTIVE
-    ACTIVE = log
-    try:
-        yield log
-    finally:
-        ACTIVE = previous
-
-
-def emit(event: str, **fields) -> None:
-    """Log to the active logger, if any.
-
-    Hot paths should guard with ``if _observe_log.ACTIVE is not None:``
-    before building keyword arguments — this helper exists for warm paths
-    (restarts, errors, lifecycle) where one extra call is immaterial.
-    """
-    log = ACTIVE
-    if log is not None:
-        log.event(event, **fields)

@@ -15,7 +15,7 @@ hot path, and two scrapes of an idle server render byte-identical text
 (sorted clients, shards, stages, buckets).
 
 Histograms are the stack's power-of-two
-:class:`~repro.telemetry.registry.Histogram`\\ s; exposition lowers them to
+:class:`~repro.observe.core.Histogram`\\ s; exposition lowers them to
 cumulative ``le`` buckets at the power-of-two edges plus ``+Inf``, which
 is exactly what ``histogram_quantile()`` in PromQL expects.
 """

@@ -7,8 +7,12 @@ codebase deliberately spends real time), and, when span tracing is on,
 per-process span logs for the server and every shard worker.  When it
 does not (the default), every instrumentation site is a single
 ``is not None`` check and the serve path allocates nothing on behalf of
-observability — the telemetry discipline from PR 3, applied to the live
-layer.
+observability.
+
+The structured log and every span log of one observer (``client``,
+``server``, ``shard-N``) are stamped from one
+:class:`~repro.observe.core.Clock`, the log's, so the stitched trace and
+the log read as one ordered timeline of the session.
 
 The observer also owns the :class:`~repro.observe.slo.SLOWatchdog` and
 its evaluation cadence: every ``cadence`` handled frames (and once more,
@@ -21,11 +25,10 @@ from __future__ import annotations
 
 from typing import IO
 
-from ..telemetry.registry import Histogram
+from .core import Histogram, Metrics, SpanLog
 from .log import ObserveLog
 from .prof import DEFAULT_STRIDE, Governor, Profiler
 from .slo import DEFAULT_SLOS, SLOSpec, SLOWatchdog
-from .spans import SpanLog
 
 __all__ = ["ServeObserver", "histogram_quantile"]
 
@@ -54,7 +57,6 @@ class ServeObserver:
     def __init__(
         self,
         *,
-        log: ObserveLog | None = None,
         log_sink: IO[str] | None = None,
         slos: tuple[SLOSpec, ...] = DEFAULT_SLOS,
         cadence: int = 256,
@@ -64,7 +66,7 @@ class ServeObserver:
     ):
         if cadence < 1:
             raise ValueError(f"watchdog cadence must be positive, got {cadence}")
-        self.log = log if log is not None else ObserveLog(log_sink)
+        self.log = ObserveLog(log_sink)
         #: The continuous profiler sampling the shard dispatch hot path.
         #: ``wall_clock=True`` (production) arms the tax governor; the
         #: deterministic mode keeps a fixed stride so samples replay
@@ -87,10 +89,8 @@ class ServeObserver:
         #: (and arms the latency SLO); ``False`` keeps the observer fully
         #: deterministic for stitched-trace and chaos determinism tests.
         self.wall_clock = wall_clock
-        self.server_spans: SpanLog | None = (
-            SpanLog("server") if trace_spans else None
-        )
-        self._shard_spans: dict[int, SpanLog] = {}
+        self._span_logs: dict[str, SpanLog] = {}
+        self.server_spans = self.span_log("server")
 
         # Cumulative series.
         self.frames = 0
@@ -98,7 +98,8 @@ class ServeObserver:
         self.decode_errors = 0
         self.replay_errors = 0
         self.frame_latency = Histogram()
-        self.stage_latency: dict[str, Histogram] = {}
+        #: Wall-clock stage latencies (``decode``, ``dispatch``, ...).
+        self.stages = Metrics()
 
         # Current watchdog window.  The hot path appends raw latencies to
         # a plain list; :meth:`evaluate` folds the closed window into a
@@ -112,24 +113,19 @@ class ServeObserver:
 
     # -- span logs ---------------------------------------------------------
 
-    def shard_span_log(self, shard_id: int) -> SpanLog | None:
-        """The per-shard span log (``shard-N``), or ``None`` if tracing is off."""
+    def span_log(self, process: str) -> SpanLog | None:
+        """One simulated process's span log on this observer's clock
+        (``client``, ``server``, ``shard-N``), or ``None`` if tracing is off."""
         if not self.trace_spans:
             return None
-        log = self._shard_spans.get(shard_id)
+        log = self._span_logs.get(process)
         if log is None:
-            log = self._shard_spans[shard_id] = SpanLog(f"shard-{shard_id}")
+            log = self._span_logs[process] = SpanLog(process, self.log.clock)
         return log
 
     def span_logs(self) -> list[SpanLog]:
-        """Every span log this observer owns (server first, then shards)."""
-        logs: list[SpanLog] = []
-        if self.server_spans is not None:
-            logs.append(self.server_spans)
-        logs.extend(
-            self._shard_spans[k] for k in sorted(self._shard_spans)
-        )
-        return logs
+        """Every span log this observer owns, by process name."""
+        return [self._span_logs[k] for k in sorted(self._span_logs)]
 
     # -- hot-path reporting ------------------------------------------------
 
@@ -146,10 +142,7 @@ class ServeObserver:
 
     def observe_stage(self, stage: str, latency_us: float) -> None:
         """One wall-clock stage latency (``decode``, ``dispatch``, ...)."""
-        hist = self.stage_latency.get(stage)
-        if hist is None:
-            hist = self.stage_latency[stage] = Histogram()
-        hist.observe(int(latency_us))
+        self.stages.observe(stage, int(latency_us))
 
     def frame_handled(self, server, latency_us: float | None = None) -> None:
         """One inbound frame fully handled; drives the watchdog cadence.
@@ -177,10 +170,8 @@ class ServeObserver:
             observe(value)
         return hist
 
-    def window_sample(
-        self, server, latency: Histogram | None = None
-    ) -> dict:
-        """The current window as an SLO sample (before reset)."""
+    def window_sample(self, server, latency: Histogram) -> dict:
+        """The current window, with its latency histogram, as an SLO sample."""
         frames = self._window_frames
         sample: dict = {
             "frames": frames,
@@ -189,8 +180,6 @@ class ServeObserver:
             ),
             "queue_occupancy": self._queue_occupancy(server),
         }
-        if latency is None:
-            latency = self.window_histogram()
         if self.wall_clock and latency.count:
             sample["p99_frame_latency_us"] = histogram_quantile(latency, 0.99)
         return sample
@@ -231,8 +220,8 @@ class ServeObserver:
         return {
             "frame": summarize(self.frame_latency),
             "stages": {
-                stage: summarize(self.stage_latency[stage])
-                for stage in sorted(self.stage_latency)
+                stage: summarize(self.stages.histograms[stage])
+                for stage in sorted(self.stages.histograms)
             },
         }
 

@@ -3,8 +3,8 @@
 Real continuous profilers (Google-Wide Profiling, Parca, Pyroscope) interrupt
 the program on a *time* stride; that is useless for a deterministic replay
 harness because two identical runs would disagree about where the samples
-landed.  We sample on the **event-ordinal clock** instead: every published
-access advances ``access.count`` ordinals — one per represented element, so
+landed.  We sample on an **element countdown** instead: every published
+access advances it by ``access.count`` — one per represented element, so
 a bulk access from a vectorized kernel weighs as much as the element-wise
 loop it stands for — and a sample fires whenever the countdown crosses a
 ``stride`` boundary.  Two runs of the same deterministic program therefore
@@ -25,23 +25,24 @@ budget.  The governor trades determinism for boundedness — with it enabled
 the *stride schedule* depends on machine speed, so byte-identical output is
 only guaranteed in fixed-stride mode (``governor=None``, the default).
 
-Like telemetry and forensics, the disabled path is free: instrumentation
-sites load :data:`ACTIVE` once and skip on ``None`` — no allocation, no
-call (proven by tracemalloc in the test suite).
+The profiler is the *sampler* sink of an
+:class:`~repro.observe.core.Observation`: the bus reaches it through the
+core's single ``ACTIVE`` switch, so with observability off it costs one
+``is None`` check and no allocation (proven by tracemalloc in the test
+suite).  Its countdown is a sampling stride, not a timestamp: it never
+reads the observation's clock, so folded stacks do not depend on which
+other sinks are on.
 """
 
 from __future__ import annotations
 
 import time
-from contextlib import contextmanager
-from typing import TYPE_CHECKING, Callable, Iterator, Sequence
+from collections import defaultdict
+from typing import TYPE_CHECKING, Callable, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..events.records import Access
     from ..tools.base import Tool
-
-#: The active profiler, or ``None`` (the common case: profiling disabled).
-ACTIVE: "Profiler | None" = None
 
 #: Default sampling stride (events per sample) before the governor adapts it.
 DEFAULT_STRIDE = 512
@@ -51,18 +52,6 @@ DEFAULT_BUDGET = 0.01
 
 #: Max trace-frame links retained per folded stack (profile↔span stitching).
 FRAME_LINKS = 4
-
-
-@contextmanager
-def scope(profiler: "Profiler | None") -> Iterator["Profiler | None"]:
-    """Install ``profiler`` as the process-wide :data:`ACTIVE` profiler."""
-    global ACTIVE
-    previous = ACTIVE
-    ACTIVE = profiler
-    try:
-        yield profiler
-    finally:
-        ACTIVE = previous
 
 
 class Governor:
@@ -156,12 +145,12 @@ def _frame_token(frame) -> str:
 
 
 class Profiler:
-    """Event-ordinal stride sampler attributing tool cost to code sites.
+    """Element-countdown stride sampler attributing tool cost to code sites.
 
     The hot-path entry points are :meth:`access_event` (scalar engine, one
     call per published access) and :meth:`batch_events` (columnar engine,
-    one call per flushed batch).  Both advance the same ordinal clock, so a
-    given trace yields identical sample ordinals on either engine — a
+    one call per flushed batch).  Both advance the same countdown, so a
+    given trace yields identical samples on either engine — a
     differential invariant the test suite checks.
 
     Context is cheap mutable state: :meth:`set_context` names the current
@@ -196,8 +185,8 @@ class Profiler:
         self._phase = phase
         self._frame: tuple | None = None
         # key = (benchmark, phase, tool, stack) -> sample count / event weight
-        self._counts: dict[tuple, int] = {}
-        self._weights: dict[tuple, int] = {}
+        self._counts: dict[tuple, int] = defaultdict(int)
+        self._weights: dict[tuple, int] = defaultdict(int)
         # key -> up to FRAME_LINKS example (client, seq) wire-frame links
         self._frames: dict[tuple, list[tuple]] = {}
 
@@ -218,7 +207,7 @@ class Profiler:
     # -- hot path --------------------------------------------------------
 
     def access_event(self, access: "Access", tools: Sequence["Tool"]) -> None:
-        """Advance ``access.count`` ordinals (scalar engine); maybe sample."""
+        """Advance the countdown by ``access.count`` (scalar engine); maybe sample."""
         count = access.count
         self.events += count
         self._countdown -= count
@@ -228,7 +217,7 @@ class Profiler:
         self._reset = self._countdown = self.stride
 
     def batch_events(self, accesses: Sequence["Access"], tools: Sequence["Tool"]) -> None:
-        """Advance one ordinal per element of the batch (columnar engine).
+        """Advance the countdown by the batch's elements (columnar engine).
 
         Samples land on exactly the accesses the scalar countdown would
         have picked, including governor stride changes mid-batch.
@@ -267,12 +256,8 @@ class Profiler:
         weights = self._weights
         for tool in tools:
             key = (bench, phase, getattr(tool, "name", type(tool).__name__), stack)
-            if key in counts:
-                counts[key] += 1
-                weights[key] += weight
-            else:
-                counts[key] = 1
-                weights[key] = weight
+            counts[key] += 1
+            weights[key] += weight
             if frame is not None:
                 links = self._frames.setdefault(key, [])
                 if len(links) < FRAME_LINKS:

@@ -44,9 +44,8 @@ from ..events.records import (
     SyncEvent,
 )
 from ..events.source import UNKNOWN_LOCATION, SourceStack
-from ..forensics import recorder as _forensics
 from ..memory.buffer import RawBuffer
-from ..telemetry import registry as _telemetry
+from ..observe import core as _obs
 from ..memory.errors import (
     DeviceError,
     MappingError,
@@ -130,9 +129,9 @@ class Machine:
         """
         if n <= 0:
             return
-        telemetry = _telemetry.ACTIVE
-        if telemetry is not None:
-            telemetry.count("runtime.parallel_regions")
+        obs = _obs.ACTIVE
+        if obs is not None and obs.metrics is not None:
+            obs.metrics.count("runtime.parallel_regions")
         k = max(1, min(num_threads, n))
         parent = self.current_thread
         tids = [self.tasks.fresh_tid() for _ in range(k)]
@@ -210,13 +209,14 @@ class TargetRuntime:
         )
         arr = HostArray(self.machine, name, buf, dt, length)
         self._arrays[name] = arr
-        recorder = _forensics.ACTIVE
-        if recorder is not None:
-            recorder.register_range(0, arr.base, arr.nbytes, name)
+        obs = _obs.ACTIVE
+        if obs is not None and obs.recorder is not None:
+            obs.recorder.register_range(0, arr.base, arr.nbytes, name)
             stack = self.machine.source.snapshot()
-            recorder.record(
+            obs.recorder.record(
                 name,
                 "allocate",
+                ordinal=obs.clock.tick(),
                 device_id=0,
                 location=stack[0] if stack else UNKNOWN_LOCATION,
                 detail=f"{arr.nbytes}B {storage}",
@@ -245,9 +245,9 @@ class TargetRuntime:
                     dev, arr.nbytes, storage="global", fill=0,
                     label=f"{arr.name}(image)",
                 ).base
-            recorder = _forensics.ACTIVE
-            if recorder is not None:
-                recorder.register_range(device_id, cv_address, arr.nbytes, arr.name)
+            obs = _obs.ACTIVE
+            if obs is not None and obs.recorder is not None:
+                obs.recorder.register_range(device_id, cv_address, arr.nbytes, arr.name)
             dev.present.insert(
                 PresentEntry(
                     ov_address=arr.base,
@@ -274,13 +274,14 @@ class TargetRuntime:
     def free(self, array: HostArray) -> None:
         """``free()`` the host storage of ``array``."""
         self._arrays.pop(array.name, None)
-        recorder = _forensics.ACTIVE
-        if recorder is not None:
-            recorder.release_range(0, array.base)
+        obs = _obs.ACTIVE
+        if obs is not None and obs.recorder is not None:
+            obs.recorder.release_range(0, array.base)
             stack = self.machine.source.snapshot()
-            recorder.record(
+            obs.recorder.record(
                 array.name,
                 "free",
+                ordinal=obs.clock.tick(),
                 device_id=0,
                 location=stack[0] if stack else UNKNOWN_LOCATION,
                 detail=f"{array.nbytes}B",
@@ -323,24 +324,24 @@ class TargetRuntime:
 
         def run_target() -> None:
             stack = machine.source.snapshot()
-            telemetry = _telemetry.ACTIVE
+            obs = _obs.ACTIVE
             if machine.faults is not None and machine.faults.kernel_launch(device):
                 # Spurious device reset before launch; the runtime recovers
                 # by checkpoint/restore, invisibly to the program and tools.
                 machine.faults.record_reset_recovery(device, dev.spurious_reset())
-                if telemetry is not None:
-                    telemetry.count("runtime.reset_recoveries")
+                if obs is not None and obs.metrics is not None:
+                    obs.metrics.count("runtime.reset_recoveries")
             for spec in maps:
                 self._map_entry(dev, spec)
-            recorder = _forensics.ACTIVE
-            if recorder is not None:
+            if obs is not None and obs.recorder is not None:
                 # One launch event per mapped variable: the timeline of each
                 # variable shows which kernels could have touched it.
                 launch_loc = stack[0] if stack else UNKNOWN_LOCATION
                 for spec in maps:
-                    recorder.record(
+                    obs.recorder.record(
                         spec.array.name,
                         "kernel-launch",
+                        ordinal=obs.clock.tick(),
                         device_id=device,
                         location=launch_loc,
                         detail=kernel_name,
@@ -359,8 +360,8 @@ class TargetRuntime:
             if dev.unified:
                 machine.bus.publish_flush(FlushEvent(device, machine.current_thread))
             context = KernelContext(machine, dev, fallback=present_snapshot)
-            if telemetry is not None:
-                with telemetry.span(
+            if obs is not None and obs.spans is not None:
+                with obs.spans.span(
                     "runtime",
                     f"kernel:{kernel_name}",
                     tid=machine.current_thread,
@@ -386,11 +387,11 @@ class TargetRuntime:
                 self._map_exit(dev, spec)
 
         def body() -> None:
-            telemetry = _telemetry.ACTIVE
-            if telemetry is None:
+            obs = _obs.ACTIVE
+            if obs is None or obs.spans is None:
                 run_target()
                 return
-            with telemetry.span(
+            with obs.spans.span(
                 "runtime",
                 f"target:{kernel_name}",
                 tid=machine.current_thread,
@@ -511,16 +512,16 @@ class TargetRuntime:
             raise MappingError(
                 f"map-type '{spec.map_type.value}' has no entry semantics"
             )
-        telemetry = _telemetry.ACTIVE
-        if telemetry is not None:
-            telemetry.count("runtime.map_entries")
+        obs = _obs.ACTIVE
+        if obs is not None and obs.metrics is not None:
+            obs.metrics.count("runtime.map_entries")
         entry = dev.present.lookup(spec.ov_address, spec.nbytes)
         if entry is not None:
             # Already present: just bump the count.  No transfer — this is
             # the semantics OMPT-less tools cannot see.
             entry.ref_count += 1
-            if telemetry is not None:
-                telemetry.count("runtime.map_present_hits")
+            if obs is not None and obs.metrics is not None:
+                obs.metrics.count("runtime.map_present_hits")
             return
         # Install-then-transfer, with rollback: if the entry transfer fails
         # past the retry budget, the present-table entry and its CV are
@@ -556,9 +557,9 @@ class TargetRuntime:
             name=spec.array.name,
             array=spec.array,
         )
-        recorder = _forensics.ACTIVE
-        if recorder is not None:
-            recorder.register_range(
+        obs = _obs.ACTIVE
+        if obs is not None and obs.recorder is not None:
+            obs.recorder.register_range(
                 dev.device_id, cv_address, spec.nbytes, spec.array.name
             )
         dev.present.insert(entry)
@@ -582,10 +583,12 @@ class TargetRuntime:
         mapping state exactly as for a normal unmap; the VSM net effect of
         an ALLOC/DELETE pair with no transfer in between is a no-op.
         """
-        if _telemetry.ACTIVE is not None:
-            _telemetry.ACTIVE.count("runtime.map_rollbacks")
-        if _forensics.ACTIVE is not None:
-            _forensics.ACTIVE.release_range(dev.device_id, entry.cv_address)
+        obs = _obs.ACTIVE
+        if obs is not None:
+            if obs.metrics is not None:
+                obs.metrics.count("runtime.map_rollbacks")
+            if obs.recorder is not None:
+                obs.recorder.release_range(dev.device_id, entry.cv_address)
         dev.present.remove(entry)
         self.machine.bus.publish_data_op(
             DataOp(
@@ -613,16 +616,18 @@ class TargetRuntime:
                 return dev.malloc(nbytes, **kwargs)
             except OutOfMemoryError:
                 attempt += 1
-                if _telemetry.ACTIVE is not None:
-                    _telemetry.ACTIVE.count("runtime.alloc_retries")
+                obs = _obs.ACTIVE
+                if obs is not None and obs.metrics is not None:
+                    obs.metrics.count("runtime.alloc_retries")
                 if attempt > MAX_ALLOC_RETRIES:
                     raise
                 if self.machine.faults is not None:
                     self.machine.faults.record_backoff(1 << attempt)
 
     def _map_exit(self, dev: Device, spec: MapSpec) -> None:
-        if _telemetry.ACTIVE is not None:
-            _telemetry.ACTIVE.count("runtime.map_exits")
+        obs = _obs.ACTIVE
+        if obs is not None and obs.metrics is not None:
+            obs.metrics.count("runtime.map_exits")
         eff = exit_effect(spec.map_type)
         entry = dev.present.lookup(spec.ov_address, spec.nbytes)
         if entry is None:
@@ -640,10 +645,11 @@ class TargetRuntime:
             return
         if eff.copies_to_host and not dev.unified:
             self._transfer(dev, entry, DataOpKind.D2H)
-        if _telemetry.ACTIVE is not None:
-            _telemetry.ACTIVE.count("runtime.unmaps")
-        if _forensics.ACTIVE is not None:
-            _forensics.ACTIVE.release_range(dev.device_id, entry.cv_address)
+        if obs is not None:
+            if obs.metrics is not None:
+                obs.metrics.count("runtime.unmaps")
+            if obs.recorder is not None:
+                obs.recorder.release_range(dev.device_id, entry.cv_address)
         dev.present.remove(entry)
         self.machine.bus.publish_data_op(
             DataOp(
@@ -689,21 +695,23 @@ class TargetRuntime:
         nbytes: int | None = None,
     ) -> None:
         """memcpy between a present entry's OV and CV (or a sub-range)."""
-        telemetry = _telemetry.ACTIVE
-        if telemetry is not None:
+        obs = _obs.ACTIVE
+        if obs is not None:
             span_bytes = entry.nbytes if nbytes is None else nbytes
-            telemetry.observe("runtime.transfer_bytes", span_bytes)
-            with telemetry.span(
-                "runtime",
-                f"transfer:{kind.value}",
-                tid=self.machine.current_thread,
-                device=dev.device_id,
-                nbytes=span_bytes,
-            ):
-                self._do_transfer(
-                    dev, entry, kind, ov_address=ov_address, nbytes=nbytes
-                )
-            return
+            if obs.metrics is not None:
+                obs.metrics.observe("runtime.transfer_bytes", span_bytes)
+            if obs.spans is not None:
+                with obs.spans.span(
+                    "runtime",
+                    f"transfer:{kind.value}",
+                    tid=self.machine.current_thread,
+                    device=dev.device_id,
+                    nbytes=span_bytes,
+                ):
+                    self._do_transfer(
+                        dev, entry, kind, ov_address=ov_address, nbytes=nbytes
+                    )
+                return
         self._do_transfer(dev, entry, kind, ov_address=ov_address, nbytes=nbytes)
 
     def _do_transfer(
@@ -735,6 +743,7 @@ class TargetRuntime:
         # Failed attempts happen below the event layer: nothing is published
         # until the copy actually lands, so recovered faults are invisible
         # to tools and findings.
+        obs = _obs.ACTIVE
         faults = machine.faults
         attempt = 0
         while faults is not None:
@@ -744,8 +753,8 @@ class TargetRuntime:
             if not fail:
                 break
             attempt += 1
-            if _telemetry.ACTIVE is not None:
-                _telemetry.ACTIVE.count("runtime.transfer_retries")
+            if obs is not None and obs.metrics is not None:
+                obs.metrics.count("runtime.transfer_retries")
             if attempt > MAX_TRANSFER_RETRIES:
                 raise TransferError(
                     f"{kind.value} of {nbytes} bytes on device {dev.device_id} "
@@ -763,11 +772,11 @@ class TargetRuntime:
         else:
             self.d2h_bytes += nbytes
         stack = machine.source.snapshot()
-        recorder = _forensics.ACTIVE
-        if recorder is not None:
-            recorder.record(
+        if obs is not None and obs.recorder is not None:
+            obs.recorder.record(
                 entry.name,
                 "transfer",
+                ordinal=obs.clock.tick(),
                 device_id=dev.device_id,
                 location=stack[0] if stack else UNKNOWN_LOCATION,
                 detail=f"{kind.value} {nbytes}B",

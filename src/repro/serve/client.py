@@ -92,7 +92,7 @@ class ServeClient:
         self.client_id = client_id
         self.policy = policy or RetryPolicy(seed=client_id)
         self.decoder = FrameDecoder()
-        #: Optional :class:`~repro.observe.spans.SpanLog` modelling this
+        #: Optional :class:`~repro.observe.core.SpanLog` modelling this
         #: client as one process of the distributed trace.  When present,
         #: every frame send becomes a span *and* the span's identity is
         #: propagated in the frame's wire trace context (version-2
@@ -110,6 +110,7 @@ class ServeClient:
             raw = self.transport.send(encode_frame(frame))
             return self.decoder.feed(raw) if raw else []
         with spanlog.span(
+            "serve",
             f"frame:{frame.kind.name}",
             client=self.client_id,
             seq=frame.seq,
@@ -120,7 +121,7 @@ class ServeClient:
             result.frames_sent += 1
             raw = self.transport.send(encode_frame(traced))
             frames = self.decoder.feed(raw) if raw else []
-            span.tags["responses"] = len(frames)
+            span.args["responses"] = len(frames)
         return frames
 
     # -- session -----------------------------------------------------------

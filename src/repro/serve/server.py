@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 from ..events.wire import Frame, FrameDecoder, FrameKind, json_payload
 from ..forensics.ledger import DeliveryLedger
-from ..telemetry import registry as _telemetry
+from ..observe import core as _obs
 from .supervisor import Supervisor
 
 __all__ = ["AnalysisServer", "ServerConfig", "ServerConnection"]
@@ -129,6 +129,7 @@ class AnalysisServer:
         else:
             begin = perf_counter() if observer.wall_clock else None
             with spans.span(
+                "serve",
                 f"handle:{frame.kind.name}",
                 client=frame.client_id,
                 seq=frame.seq,
@@ -154,9 +155,9 @@ class AnalysisServer:
 
     def _handle_frame(self, frame: Frame) -> list[Frame]:
         self.frames_handled += 1
-        telemetry = _telemetry.ACTIVE
-        if telemetry is not None:
-            telemetry.count(f"serve.frames.{frame.kind.name.lower()}")
+        obs = _obs.ACTIVE
+        if obs is not None and obs.metrics is not None:
+            obs.metrics.count(f"serve.frames.{frame.kind.name.lower()}")
         if frame.kind is FrameKind.HELLO:
             session = self.session(frame.client_id)
             if frame.payload and not session.meta:
@@ -200,9 +201,9 @@ class AnalysisServer:
                 kind=frame.kind.name,
                 detail=detail,
             )
-        telemetry = _telemetry.ACTIVE
-        if telemetry is not None:
-            telemetry.count("serve.wire_decode_errors")
+        obs = _obs.ACTIVE
+        if obs is not None and obs.metrics is not None:
+            obs.metrics.count("serve.wire_decode_errors")
         return self.session(frame.client_id).reply(
             FrameKind.ERROR,
             json_payload(
@@ -249,9 +250,9 @@ class AnalysisServer:
             session.dup_frames += 1
             if observer is not None:
                 observer.count_redelivery()
-            telemetry = _telemetry.ACTIVE
-            if telemetry is not None:
-                telemetry.count("serve.dup_frames")
+            obs = _obs.ACTIVE
+            if obs is not None and obs.metrics is not None:
+                obs.metrics.count("serve.dup_frames")
             return [session.reply(FrameKind.ACK, seq=session.next_seq - 1)]
         if seq in session.reorder:
             # Duplicate of a *parked* frame.  Parked is not applied: an
@@ -295,9 +296,9 @@ class AnalysisServer:
                             seq=seq,
                             queue_cap=self.config.queue_cap,
                         )
-                telemetry = _telemetry.ACTIVE
-                if telemetry is not None:
-                    telemetry.count("serve.shed_frames")
+                obs = _obs.ACTIVE
+                if obs is not None and obs.metrics is not None:
+                    obs.metrics.count("serve.shed_frames")
             else:
                 session.reorder[seq] = event
             session.nacks_sent += 1
@@ -453,9 +454,9 @@ class ServerConnection:
                     offset=error.offset,
                     detail=error.reason,
                 )
-            telemetry = _telemetry.ACTIVE
-            if telemetry is not None:
-                telemetry.count("serve.wire_decode_errors")
+            obs = _obs.ACTIVE
+            if obs is not None and obs.metrics is not None:
+                obs.metrics.count("serve.wire_decode_errors")
         self._errors_reported = len(errors)
 
     # -- HTTP observability endpoints --------------------------------------

@@ -33,9 +33,8 @@ from ..events.records import (
     SyncEvent,
 )
 from ..events.trace_io import event_from_json
-from ..forensics.recorder import FlightRecorder, scope as _forensics_scope
-from ..observe import prof as _prof
-from ..telemetry import registry as _telemetry
+from ..forensics.recorder import FlightRecorder
+from ..observe import core as _obs
 from ..tools.archer import ArcherTool
 from ..tools.asan import AsanTool
 from ..tools.base import Tool
@@ -113,7 +112,7 @@ class ShardWorker:
         engine: str = "columnar",
         tools: Iterable[str] = ("arbalest",),
         journal: ShardJournal | None = None,
-        recorder: FlightRecorder | None = None,
+        session: _obs.Observation | None = None,
         observer=None,
     ):
         self.shard_id = shard_id
@@ -124,7 +123,7 @@ class ShardWorker:
         #: The per-shard span log, resolved once — ``SpanLog`` identity is
         #: stable across restarts, so ``deliver`` never re-asks for it.
         self._spanlog = (
-            observer.shard_span_log(shard_id) if observer is not None else None
+            observer.span_log(f"shard-{shard_id}") if observer is not None else None
         )
         #: The observer's continuous profiler, resolved once.  Activated
         #: around each apply so ToolBus sampling attributes dispatch cost
@@ -133,12 +132,18 @@ class ShardWorker:
             getattr(observer, "profiler", None) if observer is not None else None
         )
         self._prof_phase = f"shard-{shard_id}"
-        #: A session-level recorder shared with sibling shards (the
-        #: supervisor passes one), or ``None`` for a private per-worker
-        #: one.  Sharing matters for attribution: an overrun access can
-        #: fault inside a range whose events route to a *different*
-        #: shard, and only a shared address index can still name it.
-        self._shared_recorder = recorder
+        #: A session-level observation (flight recorder + clock) shared
+        #: with sibling shards (the supervisor passes one), or ``None`` for
+        #: a private per-worker one.  Sharing matters for attribution: an
+        #: overrun access can fault inside a range whose events route to a
+        #: *different* shard, and only a shared address index can still
+        #: name it; sharing the clock keeps one variable's timeline in
+        #: order across shards.
+        self._session = session
+        #: The observation active while this worker dispatches, and the
+        #: enclosing one it was built under (rebuilt when that changes).
+        self._active: _obs.Observation | None = None
+        self._outer: _obs.Observation | None = None
         self.tool_names = tuple(tools)
         unknown = [t for t in self.tool_names if t not in DEFAULT_TOOLS]
         if unknown:
@@ -165,11 +170,16 @@ class ShardWorker:
         # (same ranges, same names, most-recent-wins resolution); a
         # private recorder is rebuilt from the journal like everything
         # else.
-        self.recorder = (
-            self._shared_recorder
-            if self._shared_recorder is not None
-            else FlightRecorder()
+        session = self._session
+        if session is None:
+            session = _obs.Observation(_obs.Clock(), recorder=FlightRecorder())
+        self.recorder = session.recorder
+        #: Recorder + clock, plus the observer's profiler: this worker's
+        #: own sinks, nested under any enclosing observation per dispatch.
+        self._local = _obs.Observation(
+            session.clock, recorder=session.recorder, profiler=self._profiler
         )
+        self._active = None
         self.tools: dict[str, Tool] = {}
         for name in self.tool_names:
             tool = DEFAULT_TOOLS[name]()
@@ -202,6 +212,7 @@ class ShardWorker:
         self._boot()
         observer = self._observer
         spanlog = self._spanlog
+        obs = _obs.ACTIVE
         for client, seq, event_json in self.journal.replay():
             try:
                 if spanlog is not None:
@@ -210,6 +221,7 @@ class ShardWorker:
                     # re-execution as a distinct span tied to the frame
                     # identity it re-ran.
                     with spanlog.span(
+                        "serve",
                         "replay",
                         client=client,
                         seq=seq,
@@ -235,42 +247,52 @@ class ShardWorker:
                         shard=self.shard_id,
                         detail=f"{type(exc).__name__}: {exc}",
                     )
-                telemetry = _telemetry.ACTIVE
-                if telemetry is not None:
-                    telemetry.count("serve.journal_replay_errors")
+                if obs is not None and obs.metrics is not None:
+                    obs.metrics.count("serve.journal_replay_errors")
                 continue
             replayed += 1
         self.replayed_events += replayed
-        telemetry = _telemetry.ACTIVE
-        if telemetry is not None:
-            telemetry.count("serve.worker_restarts")
-            telemetry.count("serve.replayed_events", replayed)
+        if obs is not None and obs.metrics is not None:
+            obs.metrics.count("serve.worker_restarts")
+            obs.metrics.count("serve.replayed_events", replayed)
 
     # -- delivery ----------------------------------------------------------
+
+    def _observed(self, fn, *args) -> None:
+        """Run ``fn(*args)`` with this worker's observation active.
+
+        A manual swap of the core's one switch, not ``scope()``: this runs
+        once per event frame, and a generator frame per event would be the
+        kind of tax the profiler's governor exists to prevent.  The
+        observation is rebuilt only when the enclosing one changes, so an
+        enclosing scope's metrics still reach shard-side sites.
+        """
+        outer = _obs.ACTIVE
+        active = self._active
+        if active is None or outer is not self._outer:
+            active = self._active = self._local.under(outer)
+            self._outer = outer
+        profiler = self._profiler
+        if profiler is not None:
+            profiler.set_context(phase=self._prof_phase)
+        _obs.ACTIVE = active
+        try:
+            fn(*args)
+        finally:
+            _obs.ACTIVE = outer
 
     def _apply(self, event_json: dict, frame: tuple | None = None) -> None:
         event = event_from_json(event_json)
         register_forensic_ranges(self.recorder, event)
         profiler = self._profiler
-        if profiler is None:
-            with _forensics_scope(self.recorder):
-                self._dispatch[type(event)](event)
-            self.applied += 1
-            return
-        # Manual activate/restore (not the scope() contextmanager): this
-        # runs once per event frame, and a generator frame per event would
-        # be the kind of observability tax the governor exists to prevent.
-        profiler.set_context(phase=self._prof_phase)
-        if frame is not None:
+        if profiler is None or frame is None:
+            self._observed(self._dispatch[type(event)], event)
+        else:
             profiler.set_frame(frame[0], frame[1])
-        previous = _prof.ACTIVE
-        _prof.ACTIVE = profiler
-        try:
-            with _forensics_scope(self.recorder):
-                self._dispatch[type(event)](event)
-        finally:
-            _prof.ACTIVE = previous
-            profiler.clear_frame()
+            try:
+                self._observed(self._dispatch[type(event)], event)
+            finally:
+                profiler.clear_frame()
         self.applied += 1
 
     def deliver(
@@ -300,7 +322,7 @@ class ShardWorker:
         spanlog = self._spanlog
         if spanlog is not None:
             with spanlog.span(
-                "apply", client=client, seq=seq, shard=self.shard_id
+                "serve", "apply", client=client, seq=seq, shard=self.shard_id
             ):
                 self._apply(event_json, (client, seq))
         else:
@@ -316,19 +338,7 @@ class ShardWorker:
 
     def drain(self) -> None:
         """Flush any parked columnar batch (graceful-drain path)."""
-        profiler = self._profiler
-        if profiler is not None:
-            profiler.set_context(phase=self._prof_phase)
-            previous = _prof.ACTIVE
-            _prof.ACTIVE = profiler
-            try:
-                with _forensics_scope(self.recorder):
-                    self.bus.flush_batch()
-            finally:
-                _prof.ACTIVE = previous
-            return
-        with _forensics_scope(self.recorder):
-            self.bus.flush_batch()
+        self._observed(self.bus.flush_batch)
 
     # -- results -----------------------------------------------------------
 

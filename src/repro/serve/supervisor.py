@@ -23,7 +23,8 @@ from __future__ import annotations
 from typing import Iterable
 
 from ..forensics.recorder import FlightRecorder
-from ..telemetry import registry as _telemetry
+from ..observe.core import Clock, Observation
+from ..observe import core as _obs
 from ..tools.findings import Finding
 from .router import AddressRouter
 from .shard import ShardWorker, WorkerCrash
@@ -49,19 +50,20 @@ class Supervisor:
         #: Optional :class:`~repro.observe.observer.ServeObserver` shared
         #: with the owning server; ``None`` keeps every site below free.
         self.observer = observer
-        #: The session's address-to-variable index, shared by all shard
-        #: workers.  It is supervisor state, not worker state: a worker
-        #: crash wipes detector state (rebuilt from the journal) but not
-        #: attribution, and a finding on one shard can name a variable
+        #: The session's observation: its flight recorder (the
+        #: address-to-variable index) and the clock stamping it, shared by
+        #: all shard workers.  It is supervisor state, not worker state: a
+        #: worker crash wipes detector state (rebuilt from the journal) but
+        #: not attribution, and a finding on one shard can name a variable
         #: whose mapping events routed to another (overrun attribution
         #: crosses shard boundaries).
-        self.recorder = FlightRecorder()
+        self.session = Observation(Clock(), recorder=FlightRecorder())
         self.workers = [
             ShardWorker(
                 i,
                 engine=engine,
                 tools=tools,
-                recorder=self.recorder,
+                session=self.session,
                 observer=observer,
             )
             for i in range(n_shards)
@@ -153,9 +155,9 @@ class Supervisor:
                 self._restart(worker, client=client, seq=seq, cause="crash")
                 if observer is not None:
                     observer.count_redelivery()
-                telemetry = _telemetry.ACTIVE
-                if telemetry is not None:
-                    telemetry.count("serve.crash_redeliveries")
+                obs = _obs.ACTIVE
+                if obs is not None and obs.metrics is not None:
+                    obs.metrics.count("serve.crash_redeliveries")
                 continue  # redeliver the in-flight frame
         raise RuntimeError(  # pragma: no cover - requires a poisoned frame
             f"shard {shard_id} failed {MAX_DELIVERY_RETRIES + 1} delivery "

@@ -58,7 +58,7 @@ from ..ompsan.ir import (
     update_entry,
 )
 from ..openmp.maptypes import entry_effect, exit_effect
-from ..telemetry import registry as _telemetry
+from ..observe import core as _obs
 from .affine import (
     join_sections,
     map_section,
@@ -266,17 +266,17 @@ class StaticLinter:
         result.certificate = SafetyCertificate(program.name, certified, sections)
         result.stats.certified_variables = len(certified)
 
-        telemetry = _telemetry.ACTIVE
-        if telemetry is not None:
-            telemetry.count("staticlint.programs")
-            telemetry.count(
+        obs = _obs.ACTIVE
+        if obs is not None and obs.metrics is not None:
+            obs.metrics.count("staticlint.programs")
+            obs.metrics.count(
                 "staticlint.statements_visited", result.stats.statements_visited
             )
-            telemetry.count(
+            obs.metrics.count(
                 "staticlint.fixpoint_iterations", result.stats.fixpoint_iterations
             )
-            telemetry.count("staticlint.certified_variables", len(certified))
-            telemetry.count("staticlint.findings", len(result.findings))
+            obs.metrics.count("staticlint.certified_variables", len(certified))
+            obs.metrics.count("staticlint.findings", len(result.findings))
         return result
 
     # -- dataflow machinery -------------------------------------------------

@@ -66,7 +66,7 @@ from ..ompsan.ir import (
     index_render,
     update_entry,
 )
-from ..telemetry import registry as _telemetry
+from ..observe import core as _obs
 
 #: Bound on fixpoint probing of a loop body's post-state.
 _STEADY_CAP = 8
@@ -590,12 +590,12 @@ def synthesize(program: StaticProgram) -> SynthResult:
         regions=regions,
         fallback_loops=synth.fallback_loops,
     )
-    telemetry = _telemetry.ACTIVE
-    if telemetry is not None:
-        telemetry.count("staticlint.synth.regions", regions)
-        telemetry.count("staticlint.synth.clauses", len(clauses))
+    obs = _obs.ACTIVE
+    if obs is not None and obs.metrics is not None:
+        obs.metrics.count("staticlint.synth.regions", regions)
+        obs.metrics.count("staticlint.synth.clauses", len(clauses))
         if result.affine_clauses:
-            telemetry.count(
+            obs.metrics.count(
                 "staticlint.synth.affine_sections", result.affine_clauses
             )
     return result

@@ -35,8 +35,7 @@ import numpy as np
 from ..clocks.epoch import CLOCK_BITS, MAX_CLOCK
 from ..clocks.vector_clock import VectorClock
 from ..memory.layout import GRANULE
-from ..forensics import recorder as _forensics
-from ..telemetry import registry as _telemetry
+from ..observe import core as _obs
 from .base import Tool
 from .findings import Finding, FindingKind
 
@@ -644,8 +643,9 @@ class ArcherTool(Tool):
         self.engine.handle_sync(event.kind, event.source_task, event.target_task)
 
     def on_access(self, access: "Access") -> None:
-        if _telemetry.ACTIVE is not None:
-            _telemetry.ACTIVE.count("tool.archer.access_checks")
+        obs = _obs.ACTIVE
+        if obs is not None and obs.metrics is not None:
+            obs.metrics.count("tool.archer.access_checks")
         racy = self.engine.check_access(access)
         if racy:
             self._report_race(access)
@@ -664,7 +664,7 @@ class ArcherTool(Tool):
                 address=access.address,
                 size=access.size,
                 stack=access.stack,
-                variable=_forensics.variable_at(
+                variable=_obs.variable_at(
                     access.device_id, access.address
                 ),
             )
@@ -672,8 +672,9 @@ class ArcherTool(Tool):
 
     def on_batch(self, batch) -> None:
         engine = self.engine
-        if _telemetry.ACTIVE is not None:
-            _telemetry.ACTIVE.count("tool.archer.access_checks", len(batch))
+        obs = _obs.ACTIVE
+        if obs is not None and obs.metrics is not None:
+            obs.metrics.count("tool.archer.access_checks", len(batch))
         accesses = batch.accesses
         cols = batch.columns
         counts = cols.counts
@@ -725,8 +726,9 @@ class ArcherTool(Tool):
         # The runtime's transfer is itself a read + a write on the acting
         # thread; unsynchronized kernels racing a transfer are caught here
         # (the Fig-2 line-14-vs-line-11 conflict).
-        if _telemetry.ACTIVE is not None:
-            _telemetry.ACTIVE.count("tool.archer.memcpy_checks")
+        obs = _obs.ACTIVE
+        if obs is not None and obs.metrics is not None:
+            obs.metrics.count("tool.archer.memcpy_checks")
         racy_r = self.engine.check_range(
             event.src_device, event.thread_id, event.src_address, event.nbytes, False
         )
@@ -744,7 +746,7 @@ class ArcherTool(Tool):
                     address=event.dst_address,
                     size=event.nbytes,
                     stack=event.stack,
-                    variable=_forensics.variable_at(
+                    variable=_obs.variable_at(
                         event.dst_device, event.dst_address
                     ),
                 )

@@ -19,8 +19,7 @@ from __future__ import annotations
 from collections import deque
 from typing import TYPE_CHECKING
 
-from ..forensics import recorder as _forensics
-from ..telemetry import registry as _telemetry
+from ..observe import core as _obs
 from .base import Tool
 from .findings import Finding, FindingKind
 
@@ -63,7 +62,7 @@ class AsanTool(Tool):
                         device_id=event.device_id,
                         address=event.address,
                         stack=event.stack,
-                        variable=_forensics.variable_at(
+                        variable=_obs.variable_at(
                             event.device_id, event.address
                         ),
                     )
@@ -117,8 +116,9 @@ class AsanTool(Tool):
     # -- accesses -------------------------------------------------------------
 
     def on_access(self, access: "Access") -> None:
-        if _telemetry.ACTIVE is not None:
-            _telemetry.ACTIVE.count("tool.asan.access_checks")
+        obs = _obs.ACTIVE
+        if obs is not None and obs.metrics is not None:
+            obs.metrics.count("tool.asan.access_checks")
         self._check_access(access)
 
     def _check_access(self, access: "Access") -> None:
@@ -132,8 +132,9 @@ class AsanTool(Tool):
     def on_batch(self, batch) -> None:
         import numpy as np
 
-        if _telemetry.ACTIVE is not None:
-            _telemetry.ACTIVE.count("tool.asan.access_checks", len(batch))
+        obs = _obs.ACTIVE
+        if obs is not None and obs.metrics is not None:
+            obs.metrics.count("tool.asan.access_checks", len(batch))
         cols = batch.columns
         accesses = batch.accesses
         # Vectorized screen: a contiguous access fully inside one live block
@@ -188,7 +189,7 @@ class AsanTool(Tool):
                 address=bad,
                 size=access.size,
                 stack=access.stack,
-                variable=_forensics.variable_at(access.device_id, bad),
+                variable=_obs.variable_at(access.device_id, bad),
             )
         )
 

@@ -24,8 +24,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from ..forensics import recorder as _forensics
-from ..telemetry import registry as _telemetry
+from ..observe import core as _obs
 from .findings import Finding, FindingKind, MAPPING_ISSUE_KINDS
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -80,22 +79,21 @@ class Tool:
         site into two), and new findings get a :class:`Provenance`
         timeline attached.  Duplicates only bump the per-site count.
         """
-        recorder = _forensics.ACTIVE
+        obs = _obs.ACTIVE
+        recorder = obs.recorder if obs is not None else None
         if recorder is not None:
             finding = recorder.resolve_variable(finding)
         key = finding.dedup_key()
-        if _telemetry.ACTIVE is not None:
-            _telemetry.ACTIVE.count(
-                f"tool.{self.name}.findings.{finding.kind.value}"
-            )
+        if obs is not None and obs.metrics is not None:
+            obs.metrics.count(f"tool.{self.name}.findings.{finding.kind.value}")
             if key in self._seen:
-                _telemetry.ACTIVE.count(f"tool.{self.name}.findings_deduped")
+                obs.metrics.count(f"tool.{self.name}.findings_deduped")
         self._counts[key] = self._counts.get(key, 0) + 1
         if key in self._seen:
             return False
         self._seen.add(key)
         if recorder is not None:
-            finding = recorder.attach_provenance(finding)
+            finding = recorder.attach_provenance(finding, obs.clock.tick())
         self.findings.append(finding)
         return True
 

@@ -29,8 +29,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ..forensics import recorder as _forensics
-from ..telemetry import registry as _telemetry
+from ..observe import core as _obs
 from .base import Tool
 from .findings import Finding, FindingKind
 
@@ -81,13 +80,15 @@ class MsanTool(Tool):
     # -- accesses ---------------------------------------------------------------
 
     def on_access(self, access: "Access") -> None:
-        if _telemetry.ACTIVE is not None:
-            _telemetry.ACTIVE.count("tool.msan.access_checks")
+        obs = _obs.ACTIVE
+        if obs is not None and obs.metrics is not None:
+            obs.metrics.count("tool.msan.access_checks")
         self._handle_access(access)
 
     def on_batch(self, batch) -> None:
-        if _telemetry.ACTIVE is not None:
-            _telemetry.ACTIVE.count("tool.msan.access_checks", len(batch))
+        obs = _obs.ACTIVE
+        if obs is not None and obs.metrics is not None:
+            obs.metrics.count("tool.msan.access_checks", len(batch))
         # A device whose planes hold no poison at batch start stays that way
         # for the whole batch (poison is born only at alloc/memcpy, both of
         # which flush): its reads cannot report, its writes clear bytes that
@@ -135,7 +136,7 @@ class MsanTool(Tool):
                         address=address,
                         size=access.size,
                         stack=access.stack,
-                        variable=_forensics.variable_at(
+                        variable=_obs.variable_at(
                             access.device_id, address
                         ),
                     )
@@ -144,8 +145,9 @@ class MsanTool(Tool):
     # -- memcpy: propagate, never report ----------------------------------------
 
     def on_memcpy(self, event: "MemcpyEvent") -> None:
-        if _telemetry.ACTIVE is not None:
-            _telemetry.ACTIVE.count("tool.msan.shadow_propagations")
+        obs = _obs.ACTIVE
+        if obs is not None and obs.metrics is not None:
+            obs.metrics.count("tool.msan.shadow_propagations")
         dst_hit = self._plane_for(event.dst_device, event.dst_address)
         if dst_hit is None:
             return

@@ -30,8 +30,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ..forensics import recorder as _forensics
-from ..telemetry import registry as _telemetry
+from ..observe import core as _obs
 from .base import Tool
 from .findings import Finding, FindingKind
 
@@ -92,7 +91,7 @@ class ValgrindTool(Tool):
                         device_id=event.device_id,
                         address=event.address,
                         stack=event.stack,
-                        variable=_forensics.variable_at(
+                        variable=_obs.variable_at(
                             event.device_id, event.address
                         ),
                     )
@@ -123,16 +122,18 @@ class ValgrindTool(Tool):
         # slice events our compile-time-instrumentation model emits.  Every
         # element is therefore checked individually — which is also why the
         # paper measures Valgrind as the slowest tool (§VI.E).
-        if _telemetry.ACTIVE is not None:
+        obs = _obs.ACTIVE
+        if obs is not None and obs.metrics is not None:
             # Per-machine-access accounting: Valgrind pays per element.
-            _telemetry.ACTIVE.count("tool.valgrind.element_checks", access.count)
+            obs.metrics.count("tool.valgrind.element_checks", access.count)
         self._handle_access(access)
 
     def on_batch(self, batch) -> None:
         # Valgrind observes each machine access separately; the batch only
-        # amortizes the telemetry counter, the checks themselves replay.
-        if _telemetry.ACTIVE is not None:
-            _telemetry.ACTIVE.count(
+        # amortizes the metrics counter, the checks themselves replay.
+        obs = _obs.ACTIVE
+        if obs is not None and obs.metrics is not None:
+            obs.metrics.count(
                 "tool.valgrind.element_checks", int(batch.columns.counts.sum())
             )
         handle = self._handle_access
@@ -172,7 +173,7 @@ class ValgrindTool(Tool):
                 address=address + covered,
                 size=access.size,
                 stack=access.stack,
-                variable=_forensics.variable_at(
+                variable=_obs.variable_at(
                     access.device_id, address + covered
                 ),
             )

@@ -13,8 +13,7 @@ import functools
 from repro.dracc.registry import get as dracc_get
 from repro.forensics.report import to_jsonl
 from repro.harness import run_report
-from repro.telemetry import Telemetry
-from repro.telemetry import scope as telemetry_scope
+from repro.observe.core import scope
 
 
 @functools.lru_cache(maxsize=None)
@@ -83,21 +82,19 @@ class TestDeterminism:
 
 
 class TestFingerprintStability:
-    def _fingerprints(self, *, telemetry: Telemetry | None) -> list[str]:
+    def _fingerprints(self, sinks: dict | None) -> list[str]:
         bench = dracc_get(22)
-        if telemetry is None:
+        if sinks is None:
             payload = run_report(benchmarks=(bench,))
         else:
-            with telemetry_scope(telemetry):
+            with scope(**sinks):
                 payload = run_report(benchmarks=(bench,))
         return [f["fingerprint"] for f in payload["findings"]]
 
     def test_stable_across_clock_modes(self):
-        bare = self._fingerprints(telemetry=None)
-        ordinal = self._fingerprints(telemetry=Telemetry(record_spans=False))
-        wall = self._fingerprints(
-            telemetry=Telemetry(wall_clock=True, record_spans=False)
-        )
+        bare = self._fingerprints(None)
+        ordinal = self._fingerprints({"spans": True})
+        wall = self._fingerprints({"spans": True, "wall_clock": True})
         assert bare and bare == ordinal == wall
 
     def test_ordinals_do_shift_under_telemetry(self):
@@ -105,7 +102,7 @@ class TestFingerprintStability:
         # the fingerprint equality above is not vacuous.
         bench = dracc_get(22)
         bare = run_report(benchmarks=(bench,))
-        with telemetry_scope(Telemetry(record_spans=False)):
+        with scope(spans=True):
             shifted = run_report(benchmarks=(bench,))
         ordinals = lambda p: [
             e["ordinal"] for f in p["findings"] for e in f["events"]

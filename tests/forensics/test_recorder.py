@@ -1,6 +1,4 @@
-"""The flight recorder core: rings, clock, address index, disabled path."""
-
-import tracemalloc
+"""The flight recorder: rings, the shared clock, address index, scoping."""
 
 import pytest
 
@@ -11,15 +9,13 @@ from repro.forensics import (
     FlightRecorder,
     RecordedEvent,
     VariableRing,
-    scope,
-    variable_at,
 )
-from repro.forensics import recorder as forensics_recorder
 from repro.forensics.recorder import RETIRED_RANGES
 from repro.harness.chaos import run_chaos_campaign
+from repro.observe import core
+from repro.observe.core import scope, variable_at
+from repro.openmp import tofrom
 from repro.openmp.runtime import TargetRuntime
-from repro.telemetry import Telemetry
-from repro.telemetry import scope as telemetry_scope
 
 
 def _event(ordinal: int, kind: str = "map") -> RecordedEvent:
@@ -61,26 +57,53 @@ class TestVariableRing:
         assert [e.ordinal for e in ring.events()] == [2, 3, 4]
 
 
-class TestClock:
-    def test_private_clock_without_telemetry(self):
-        rec = FlightRecorder()
-        assert [rec.tick(), rec.tick(), rec.tick()] == [1, 2, 3]
+def _noop_kernel(ctx) -> None:
+    pass
 
+
+class TestClock:
     def test_shares_telemetry_ordinal_when_active(self):
+        """Recorder events and spans are stamped from one clock."""
         rec = FlightRecorder()
-        t = Telemetry()
-        with telemetry_scope(t):
-            t.tick()  # telemetry at 1
-            assert rec.tick() == 2  # the shared clock, not a private 1
-            assert t.ordinal == 2
-        # Telemetry gone: back on the private clock.
-        assert rec.tick() == 1
+        with scope(recorder=rec, spans=True) as obs:
+            with obs.spans.span("cat", "s"):  # ticks 1 and 2
+                pass
+            event = rec.record("a", "map", ordinal=obs.clock.tick())
+        assert event.ordinal == 3
+        assert obs.spans.spans[0].end == 2
 
     def test_record_stamps_monotonic_ordinals(self):
         rec = FlightRecorder()
-        first = rec.record("a", "map")
-        second = rec.record("b", "unmap")
-        assert second.ordinal == first.ordinal + 1
+        with scope(recorder=rec):
+            _run_dracc(22)
+        assert rec.rings
+        for ring in rec.rings.values():
+            ordinals = [e.ordinal for e in ring.events()]
+            assert ordinals == sorted(set(ordinals))
+
+    @pytest.mark.parametrize(
+        "sink", [{"metrics": True}, {"spans": True}], ids=["metrics", "spans"]
+    )
+    def test_ordinals_strictly_increase_when_a_sink_opens_midrun(self, sink):
+        """Opening a metrics or span sink partway through a recorded run
+        must not move the recorder to a second clock: one variable's
+        timeline stays strictly increasing."""
+        rec = FlightRecorder()
+        rt = TargetRuntime(n_devices=2)
+        Arbalest().attach(rt.machine)
+        with scope(recorder=rec):
+            a = rt.array("a", 64)
+            a.fill(1.0)
+            rt.target(_noop_kernel, maps=[tofrom(a)], name="k1")
+            before = len(rec.timeline("a")[0])
+            with scope(**sink):
+                rt.target(_noop_kernel, maps=[tofrom(a)], name="k2")
+                rt.free(a)
+        events, dropped = rec.timeline("a")
+        ordinals = [e.ordinal for e in events]
+        assert dropped == 0
+        assert len(events) > before >= 3
+        assert ordinals == sorted(set(ordinals)), ordinals
 
 
 class TestAddressIndex:
@@ -129,32 +152,16 @@ class TestAddressIndex:
 
 class TestDisabledPath:
     def test_variable_at_disabled_returns_empty(self):
-        assert forensics_recorder.ACTIVE is None
+        assert core.ACTIVE is None
         assert variable_at(0, 0x1234) == ""
 
     def test_scope_restores_previous(self):
         outer, inner = FlightRecorder(), FlightRecorder()
-        with scope(outer):
-            with scope(inner):
-                assert forensics_recorder.ACTIVE is inner
-            assert forensics_recorder.ACTIVE is outer
-        assert forensics_recorder.ACTIVE is None
-
-    def test_zero_forensics_allocations_when_disabled(self):
-        assert forensics_recorder.ACTIVE is None
-        _run_dracc(22)  # warm every code path first
-        tracemalloc.start()
-        try:
-            _run_dracc(22)
-            snapshot = tracemalloc.take_snapshot()
-        finally:
-            tracemalloc.stop()
-        forensics_allocs = snapshot.filter_traces(
-            [tracemalloc.Filter(True, "*repro/forensics/*")]
-        ).statistics("filename")
-        assert forensics_allocs == [], [
-            f"{s.traceback}: {s.size}B" for s in forensics_allocs
-        ]
+        with scope(recorder=outer):
+            with scope(recorder=inner):
+                assert core.ACTIVE.recorder is inner
+            assert core.ACTIVE.recorder is outer
+        assert core.ACTIVE is None
 
 
 class TestBoundedMemory:
@@ -162,14 +169,14 @@ class TestBoundedMemory:
         # DRACC 22 reports the same site 256 times; a tiny ring must not
         # grow past its capacity and must report what it evicted.
         rec = FlightRecorder(capacity=8)
-        with scope(rec):
+        with scope(recorder=rec):
             _run_dracc(22)
         assert rec.rings
         assert all(len(ring) <= 8 for ring in rec.rings.values())
 
     def test_recorder_bounded_under_chaos_campaign(self):
         rec = FlightRecorder(capacity=16)
-        with scope(rec):
+        with scope(recorder=rec):
             payload = run_chaos_campaign(
                 seed=1, schedules=1, benchmarks=buggy_benchmarks()[:4]
             )

@@ -28,7 +28,7 @@ class TestRunProfile:
         trace = json.load(out.open())
         assert isinstance(trace["traceEvents"], list)
         assert trace["traceEvents"]
-        cats = {e["cat"] for e in trace["traceEvents"]}
+        cats = {e["cat"] for e in trace["traceEvents"] if e["ph"] == "X"}
         assert {"runtime", "bus", "detector"} <= cats
 
     def test_metrics_file_written(self, tmp_path):

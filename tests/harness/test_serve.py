@@ -37,14 +37,15 @@ class TestServeSuite:
         index from the trace.  If they ever drift, `repro diff` against
         the golden report regresses — this is the unit-sized version.
         """
-        from repro.forensics.recorder import FlightRecorder, scope
+        from repro.forensics.recorder import FlightRecorder
+        from repro.observe.core import scope
         from repro.harness.precision import TOOL_FACTORIES
         from repro.openmp.runtime import TargetRuntime
 
         bench = get(23)
         rt = TargetRuntime(n_devices=2)
         tool = TOOL_FACTORIES["arbalest"]().attach(rt.machine)
-        with scope(FlightRecorder()):
+        with scope(recorder=FlightRecorder()):
             bench.run(rt)
         live = sorted(
             (f.fingerprint(), f.variable) for f in tool.findings

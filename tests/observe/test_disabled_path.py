@@ -1,18 +1,38 @@
-"""The observability-off path: zero cost, byte-identical wire, no spans."""
+"""The observability-off path: zero cost, byte-identical wire, no spans.
+
+One zero-allocation proof covers every observability sink: with no
+observation active, the instrumented hot paths must not allocate in any
+observability source file — the core switch and its metrics/span sinks,
+the profiler, the structured log, the serve observer (``repro/observe``)
+and the flight recorder and its provenance (``repro/forensics``).
+"""
 
 import tracemalloc
 
+import pytest
+
+from repro.core.detector import Arbalest
 from repro.dracc import get
 from repro.harness.serve import record_trace
-from repro.observe import log as observe_log
+from repro.observe import core
+from repro.openmp.runtime import TargetRuntime
 from repro.serve import (
     AnalysisServer,
     LoopbackTransport,
     ServeClient,
     ServerConfig,
 )
+from repro.specaccel import WORKLOADS
 
 BENCH = 18
+
+#: Every observability source file.
+OBSERVABILITY_FILES = ("*repro/observe/*", "*repro/forensics/*")
+
+#: A served session keeps its flight recorder on by design — served
+#: findings are attributed through its address index — so the recorder's
+#: own files are exempt for that target only.
+SERVED_RECORDER_FILES = ("*repro/forensics/recorder.py", "*repro/forensics/provenance.py")
 
 
 def _stream_once():
@@ -21,25 +41,52 @@ def _stream_once():
     return client.stream(record_trace(get(BENCH)))
 
 
-class TestDisabledPath:
-    def test_zero_observe_allocations_without_an_observer(self):
-        """No observer, no logger: the serve hot path must never allocate
-        inside ``repro/observe``.  The tracemalloc filter is the proof."""
-        assert observe_log.ACTIVE is None
-        _stream_once()  # warm every code path first
+def _run_dracc_22(engine: str) -> None:
+    rt = TargetRuntime(n_devices=2, engine=engine)
+    Arbalest().attach(rt.machine)
+    get(22).run(rt)
+
+
+def _run_spec_twin(engine: str) -> None:
+    rt = TargetRuntime(n_devices=1, engine=engine)
+    Arbalest().attach(rt.machine)
+    WORKLOADS[0].run(rt, "test")
+    rt.finalize()
+
+
+TARGETS = {
+    "dracc22-scalar": (lambda: _run_dracc_22("scalar"), ()),
+    "dracc22-columnar": (lambda: _run_dracc_22("columnar"), ()),
+    "spec-test-scalar": (lambda: _run_spec_twin("scalar"), ()),
+    "spec-test-columnar": (lambda: _run_spec_twin("columnar"), ()),
+    "served-dracc18": (_stream_once, SERVED_RECORDER_FILES),
+}
+
+
+class TestZeroAllocation:
+    @pytest.mark.parametrize("target", sorted(TARGETS))
+    def test_allocates_nothing(self, target):
+        run, exempt = TARGETS[target]
+        assert core.ACTIVE is None
+        run()  # warm every code path first
         tracemalloc.start()
         try:
-            _stream_once()
+            run()
             snapshot = tracemalloc.take_snapshot()
         finally:
             tracemalloc.stop()
-        observe_allocs = snapshot.filter_traces(
-            [tracemalloc.Filter(True, "*repro/observe/*")]
-        ).statistics("filename")
-        assert observe_allocs == [], [
-            f"{s.traceback}: {s.size}B" for s in observe_allocs
-        ]
+        allocs = snapshot.filter_traces(
+            [tracemalloc.Filter(True, pattern) for pattern in OBSERVABILITY_FILES]
+        )
+        if exempt:
+            allocs = allocs.filter_traces(
+                [tracemalloc.Filter(False, pattern) for pattern in exempt]
+            )
+        stats = allocs.statistics("filename")
+        assert stats == [], [f"{s.traceback}: {s.size}B" for s in stats]
 
+
+class TestDisabledPath:
     def test_untraced_client_emits_version_1_wire_only(self):
         """Without a span log the client's bytes are the pre-trace wire."""
         from repro.events.wire import WIRE_VERSION

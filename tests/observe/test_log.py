@@ -1,4 +1,4 @@
-"""Structured JSONL logging: ordinal clock, identity fields, scoping."""
+"""Structured JSONL logging: ordinal clock, identity fields, the sink."""
 
 import io
 import json
@@ -6,7 +6,6 @@ import json
 import pytest
 
 from repro.observe import ObserveLog
-from repro.observe import log as observe_log
 
 
 class TestEvents:
@@ -65,28 +64,3 @@ class TestSink:
         with pytest.raises(ValueError, match="capacity"):
             ObserveLog(capacity=0)
 
-
-class TestScope:
-    def test_emit_without_scope_is_a_no_op(self):
-        assert observe_log.ACTIVE is None
-        observe_log.emit("never.lands", x=1)  # must not raise
-
-    def test_scope_activates_and_restores(self):
-        log = ObserveLog()
-        assert observe_log.ACTIVE is None
-        with observe_log.scope(log):
-            assert observe_log.ACTIVE is log
-            observe_log.emit("inside", n=1)
-            inner = ObserveLog()
-            with observe_log.scope(inner):
-                assert observe_log.ACTIVE is inner
-            assert observe_log.ACTIVE is log
-        assert observe_log.ACTIVE is None
-        assert log.named("inside")
-
-    def test_scope_restores_on_exception(self):
-        log = ObserveLog()
-        with pytest.raises(RuntimeError):
-            with observe_log.scope(log):
-                raise RuntimeError("boom")
-        assert observe_log.ACTIVE is None

@@ -4,14 +4,9 @@ import json
 
 from repro.dracc import get
 from repro.harness.serve import record_trace
-from repro.observe import (
-    ServeObserver,
-    healthz,
-    histogram_quantile,
-    readyz,
-    render_prometheus,
-    service_snapshot,
-)
+from repro.observe import ServeObserver, healthz, histogram_quantile, readyz
+from repro.observe.core import Histogram
+from repro.observe.metrics import render_prometheus, service_snapshot
 from repro.observe.slo import CHAOS_SLOS
 from repro.observe.top import metric_value, parse_exposition
 from repro.serve import (
@@ -20,7 +15,6 @@ from repro.serve import (
     ServeClient,
     ServerConfig,
 )
-from repro.telemetry.registry import Histogram
 
 BENCH = 18
 

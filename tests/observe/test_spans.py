@@ -1,4 +1,4 @@
-"""Span logs and cross-process trace stitching, including determinism."""
+"""Span logs and the cross-process Chrome trace, including determinism."""
 
 import json
 
@@ -6,12 +6,8 @@ import pytest
 
 from repro.dracc import get
 from repro.harness.serve import record_trace
-from repro.observe import (
-    ServeObserver,
-    SpanLog,
-    spans_by_frame,
-    stitch_traces,
-)
+from repro.observe import ServeObserver
+from repro.observe.core import Clock, SpanLog, chrome_trace, spans_by_frame
 from repro.serve import (
     AnalysisServer,
     LoopbackTransport,
@@ -24,38 +20,50 @@ BENCH = 18
 
 class TestSpanLog:
     def test_span_records_begin_end_ordinals(self):
-        log = SpanLog("server")
-        with log.span("handle:EVENT", client=1, seq=0):
+        log = SpanLog("server", Clock())
+        with log.span("serve", "handle:EVENT", client=1, seq=0):
             pass
         (span,) = log.spans
-        assert span["b"] == 1 and span["e"] == 2
-        assert span["tags"] == {"client": 1, "seq": 0}
+        assert span.begin == 1 and span.end == 2
+        assert span.args == {"client": 1, "seq": 0}
 
     def test_none_tags_are_dropped(self):
-        log = SpanLog("x")
-        with log.span("s", a=None, b=2):
+        log = SpanLog("x", Clock())
+        with log.span("serve", "s", a=None, b=2):
             pass
-        assert log.spans[0]["tags"] == {"b": 2}
+        assert log.spans[0].args == {"b": 2}
 
     def test_tags_mutable_inside_the_block(self):
-        log = SpanLog("x")
-        with log.span("s") as handle:
-            handle.tags["responses"] = 3
-        assert log.spans[0]["tags"] == {"responses": 3}
+        log = SpanLog("x", Clock())
+        with log.span("serve", "s") as handle:
+            handle.args["responses"] = 3
+        assert log.spans[0].args == {"responses": 3}
 
     def test_nested_spans_share_the_clock(self):
-        log = SpanLog("x")
-        with log.span("outer"):
-            with log.span("inner"):
+        log = SpanLog("x", Clock())
+        with log.span("serve", "outer"):
+            with log.span("serve", "inner"):
                 pass
         inner, outer = log.spans
-        assert (outer["b"], inner["b"], inner["e"], outer["e"]) == (1, 2, 3, 4)
+        assert (outer.begin, inner.begin, inner.end, outer.end) == (1, 2, 3, 4)
+
+    def test_observer_log_and_span_logs_share_one_clock(self):
+        observer = ServeObserver(trace_spans=True, wall_clock=False)
+        client = observer.span_log("client")
+        with client.span("serve", "frame:EVENT"):
+            entry = observer.log.event("e")
+        assert (client.spans[0].begin, entry["ordinal"], client.spans[0].end) == (
+            1,
+            2,
+            3,
+        )
 
 
 class TestStitch:
     def test_pids_assigned_by_sorted_process_name(self):
-        server, shard = SpanLog("server"), SpanLog("shard-0")
-        doc = stitch_traces([shard, server])  # deliberately unsorted input
+        clock = Clock()
+        server, shard = SpanLog("server", clock), SpanLog("shard-0", clock)
+        doc = chrome_trace([shard, server])  # deliberately unsorted input
         assert doc["otherData"]["processes"] == ["server", "shard-0"]
         meta = [e for e in doc["traceEvents"] if e["ph"] == "M"]
         assert [(m["pid"], m["args"]["name"]) for m in meta] == [
@@ -64,21 +72,22 @@ class TestStitch:
         ]
 
     def test_spans_become_complete_events_with_args(self):
-        log = SpanLog("server")
-        with log.span("apply", client=7, seq=3):
+        log = SpanLog("server", Clock())
+        with log.span("serve", "apply", client=7, seq=3):
             pass
-        doc = stitch_traces([log])
+        doc = chrome_trace([log])
         (event,) = [e for e in doc["traceEvents"] if e["ph"] == "X"]
         assert event["ts"] == 1 and event["dur"] == 1
         assert event["args"] == {"client": 7, "seq": 3}
 
     def test_spans_by_frame_joins_processes(self):
-        client, server = SpanLog("client"), SpanLog("server")
-        with client.span("frame:EVENT", client=7, seq=3):
+        clock = Clock()
+        client, server = SpanLog("client", clock), SpanLog("server", clock)
+        with client.span("serve", "frame:EVENT", client=7, seq=3):
             pass
-        with server.span("handle:EVENT", client=7, seq=3):
+        with server.span("serve", "handle:EVENT", client=7, seq=3):
             pass
-        index = spans_by_frame(stitch_traces([client, server]))
+        index = spans_by_frame(chrome_trace([client, server]))
         assert len(index[(7, 3)]) == 2
         assert {e["pid"] for e in index[(7, 3)]} == {0, 1}
 
@@ -89,12 +98,13 @@ def traced_session(kill_at: int | None = None) -> dict:
     server = AnalysisServer(ServerConfig(n_shards=2), observer)
     if kill_at is not None:
         server.session(BENCH).supervisor.kill_schedule[kill_at] = "post"
-    client_spans = SpanLog("client")
     client = ServeClient(
-        LoopbackTransport(server), client_id=BENCH, spanlog=client_spans
+        LoopbackTransport(server),
+        client_id=BENCH,
+        spanlog=observer.span_log("client"),
     )
     client.stream(record_trace(get(BENCH)))
-    return stitch_traces([client_spans] + observer.span_logs())
+    return chrome_trace(observer.span_logs())
 
 
 class TestCrossProcessTrace:

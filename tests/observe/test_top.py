@@ -59,7 +59,7 @@ class TestParseExposition:
 
 
 def bench_exposition() -> dict:
-    from repro.observe import render_prometheus, service_snapshot
+    from repro.observe.metrics import render_prometheus, service_snapshot
     from repro.serve import AnalysisServer
 
     observer = ServeObserver()

@@ -111,7 +111,7 @@ class TestPropagation:
     def test_client_spans_propagate_to_server_spans(self):
         from repro.dracc import get
         from repro.harness.serve import record_trace
-        from repro.observe import ServeObserver, SpanLog
+        from repro.observe import ServeObserver
         from repro.serve import (
             AnalysisServer,
             LoopbackTransport,
@@ -121,7 +121,7 @@ class TestPropagation:
 
         observer = ServeObserver(trace_spans=True, wall_clock=False)
         server = AnalysisServer(ServerConfig(n_shards=2), observer)
-        client_spans = SpanLog("client")
+        client_spans = observer.span_log("client")
         client = ServeClient(
             LoopbackTransport(server), client_id=18, spanlog=client_spans
         )
@@ -132,12 +132,11 @@ class TestPropagation:
         assert server_spans
         # Every server handle-span names the client-side span that sent it.
         by_key = {
-            (s["tags"]["client"], s["tags"]["seq"]): s["tags"]
-            for s in client_spans.spans
+            (s.args["client"], s.args["seq"]): s.args for s in client_spans.spans
         }
         linked = 0
         for span in server_spans:
-            tags = span.get("tags", {})
+            tags = span.args
             if "ctx_span" in tags:
                 origin = by_key[(tags["client"], tags["seq"])]
                 assert tags["ctx_trace"] == 18

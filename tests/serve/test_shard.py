@@ -10,6 +10,7 @@ from repro.events.records import (
 )
 from repro.events.trace_io import event_to_json
 from repro.forensics.recorder import FlightRecorder
+from repro.observe.core import Clock, Observation
 from repro.serve import ShardWorker, WorkerCrash, register_forensic_ranges
 
 
@@ -164,7 +165,8 @@ class TestForensicRanges:
 class TestSharedRecorder:
     def test_shared_recorder_survives_worker_restart(self):
         recorder = FlightRecorder()
-        worker = ShardWorker(0, recorder=recorder)
+        session = Observation(Clock(), recorder=recorder)
+        worker = ShardWorker(0, session=session)
         worker.deliver(1, 0, event_to_json(TestForensicRanges().host_alloc()))
         worker.crash()
         worker.restart()
@@ -180,3 +182,44 @@ class TestSharedRecorder:
         assert worker.recorder is not before
         # Replay re-registered the range into the fresh recorder.
         assert worker.recorder.resolve(0, 0x1000) == "a"
+
+
+class TestShardObservation:
+    """One swap of the core switch per frame: session recorder + clock,
+    the observer's profiler, and whatever an enclosing scope holds."""
+
+    @staticmethod
+    def _serve(bench: int):
+        from repro.dracc import get
+        from repro.harness.serve import record_trace
+        from repro.serve import AnalysisServer, LoopbackTransport, ServeClient
+        from repro.serve import ServerConfig
+
+        server = AnalysisServer(ServerConfig(n_shards=4))
+        ServeClient(LoopbackTransport(server), client_id=bench).stream(
+            record_trace(get(bench))
+        )
+        return server
+
+    def test_enclosing_metrics_reach_shard_side_sites(self):
+        from repro.observe.core import scope
+
+        with scope(metrics=True) as obs:
+            self._serve(22)
+        counters = obs.metrics.counters
+        assert counters["serve.frames.event"] > 0  # server-side site
+        assert counters["bus.events.on_data_op"] > 0  # shard-side sites
+        assert counters["detector.accesses.device"] > 0
+        assert any(k.startswith("vsm.") for k in counters)
+
+    def test_session_clock_orders_timelines_across_shards(self):
+        from repro.observe import core
+
+        server = self._serve(22)
+        assert core.ACTIVE is None  # every per-frame swap was undone
+        (session,) = server.sessions.values()
+        recorder = session.supervisor.session.recorder
+        assert recorder.rings
+        for ring in recorder.rings.values():
+            ordinals = [e.ordinal for e in ring.events()]
+            assert ordinals == sorted(set(ordinals))

@@ -12,7 +12,7 @@ from repro.core.registry import ShadowRegistry
 from repro.dracc.registry import all_benchmarks, get
 from repro.openmp.runtime import TargetRuntime
 from repro.staticlint import dracc_certificates
-from repro.telemetry import Telemetry, scope
+from repro.observe.core import scope
 
 
 def _run(benchmark, certificate):
@@ -206,8 +206,7 @@ class TestTelemetryCounters:
         from repro.ompsan import BUGGY_PROGRAMS
         from repro.staticlint import lint
 
-        registry = Telemetry(record_spans=False)
-        with scope(registry):
+        with scope(metrics=True) as registry:
             lint(BUGGY_PROGRAMS[22]())
         counters = registry.snapshot()["counters"]
         assert counters["staticlint.programs"] == 1
@@ -219,15 +218,15 @@ class TestTelemetryCounters:
         from repro.ompsan import BUGGY_PROGRAMS
         from repro.staticlint import lint
 
-        registry = Telemetry(record_spans=False)
+        with scope(metrics=True) as registry:
+            pass
         lint(BUGGY_PROGRAMS[22]())  # no scope: must not touch the registry
         assert "staticlint.programs" not in registry.snapshot()["counters"]
 
     def test_skip_counters_emitted_inside_scope(self):
         benchmark = get(1)
         certs = dracc_certificates()
-        registry = Telemetry(record_spans=False)
-        with scope(registry):
+        with scope(metrics=True) as registry:
             _run(benchmark, certs[benchmark.name])
         counters = registry.snapshot()["counters"]
         assert counters["staticlint.shadow_skips"] > 0

@@ -25,7 +25,7 @@ from repro.staticlint.synth import (
     synth_suite_programs,
     synthesize,
 )
-from repro.telemetry import Telemetry, scope
+from repro.observe.core import scope
 
 GOLDEN = Path(__file__).parent / "golden_synth.json"
 
@@ -180,9 +180,8 @@ class TestRenderings:
 
 class TestTelemetry:
     def test_counters_inside_scope(self):
-        registry = Telemetry(record_spans=False)
         programs = synth_suite_programs()
-        with scope(registry):
+        with scope(metrics=True) as registry:
             synthesize(programs["DRACC_OMP_001"])
             synthesize(programs["AFFINE_TILED"])
         counters = registry.snapshot()["counters"]
@@ -191,7 +190,8 @@ class TestTelemetry:
         assert counters["staticlint.synth.affine_sections"] >= 1
 
     def test_silent_outside_scope(self):
-        registry = Telemetry(record_spans=False)
+        with scope(metrics=True) as registry:
+            pass
         synthesize(synth_suite_programs()["DRACC_OMP_001"])
         assert "staticlint.synth.regions" not in registry.snapshot()["counters"]
 

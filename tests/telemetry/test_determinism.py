@@ -1,20 +1,18 @@
-"""The two headline telemetry guarantees.
+"""Determinism and coverage of an observed run.
 
-1. **Determinism** — under the event-ordinal clock, two runs of the same
-   target produce byte-identical trace and metrics artifacts.
-2. **Zero disabled-mode cost** — with no active registry the instrumented
-   hot paths allocate nothing inside the telemetry package.
+Under the event-ordinal clock, two runs of the same target produce
+byte-identical trace and metrics artifacts, and an enabled run produces
+data from every layer.  The zero-cost-when-off guarantee is proven once
+for all sinks in ``tests/observe/test_disabled_path.py``.
 """
 
 import json
-import tracemalloc
 
 from repro.core.detector import Arbalest
 from repro.dracc.registry import get as dracc_get
 from repro.harness import run_profile
 from repro.openmp.runtime import TargetRuntime
-from repro.telemetry import Telemetry, scope
-from repro.telemetry import registry as telemetry_registry
+from repro.observe.core import scope
 
 
 def _run_dracc(number: int) -> Arbalest:
@@ -58,55 +56,33 @@ class TestByteIdenticalArtifacts:
     def test_snapshots_identical_across_runs(self):
         snaps = []
         for _ in range(2):
-            t = Telemetry()
-            with scope(t):
+            with scope(metrics=True, spans=True) as obs:
                 _run_dracc(22)
-            snaps.append(json.dumps(t.snapshot(), sort_keys=True))
+            snaps.append(json.dumps(obs.snapshot(), sort_keys=True))
         assert snaps[0] == snaps[1]
-
-
-class TestDisabledModeAllocatesNothing:
-    def test_zero_telemetry_allocations_on_hot_path(self):
-        assert telemetry_registry.ACTIVE is None
-        _run_dracc(22)  # warm every code path first
-        tracemalloc.start()
-        try:
-            _run_dracc(22)
-            snapshot = tracemalloc.take_snapshot()
-        finally:
-            tracemalloc.stop()
-        telemetry_allocs = snapshot.filter_traces(
-            [tracemalloc.Filter(True, "*repro/telemetry/*")]
-        ).statistics("filename")
-        assert telemetry_allocs == [], [
-            f"{s.traceback}: {s.size}B" for s in telemetry_allocs
-        ]
 
 
 class TestInstrumentationCoverage:
     """An enabled run actually produces data from every layer."""
 
     def test_spans_cover_three_layers(self):
-        t = Telemetry()
-        with scope(t):
+        with scope(spans=True) as obs:
             _run_dracc(22)
-        layers = {s.cat for s in t.spans}
+        layers = {s.cat for s in obs.spans.spans}
         assert {"runtime", "bus", "detector"} <= layers
 
     def test_counters_cover_runtime_detector_tools_and_vsm(self):
-        t = Telemetry()
-        with scope(t):
+        with scope(metrics=True) as obs:
             _run_dracc(22)
-        names = set(t.counters)
+        names = set(obs.metrics.counters)
         assert any(n.startswith("runtime.map_entries") for n in names)
         assert any(n.startswith("bus.events.") for n in names)
         assert any(n.startswith("detector.accesses.") for n in names)
         assert any(n.startswith("vsm.") and "->" in n for n in names)
-        assert "runtime.transfer_bytes" in t.histograms
+        assert "runtime.transfer_bytes" in obs.metrics.histograms
 
     def test_detector_gauges_present(self):
-        t = Telemetry()
-        with scope(t):
+        with scope(metrics=True) as obs:
             _run_dracc(1)
-        assert "detector.live_mappings" in t.gauges
-        assert "detector.shadow_bytes" in t.gauges
+        assert "detector.live_mappings" in obs.metrics.gauges
+        assert "detector.shadow_bytes" in obs.metrics.gauges

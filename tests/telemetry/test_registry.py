@@ -1,31 +1,49 @@
-"""Telemetry registry: metrics, spans, scoping, and the disabled default."""
+"""The observability core's sinks: metrics, spans, scoping, the trace writer."""
 
 import json
 
-from repro.telemetry import (
+import pytest
+
+from repro.core.detector import Arbalest
+from repro.dracc.registry import get as dracc_get
+from repro.observe import core
+from repro.observe.core import (
     Histogram,
-    Telemetry,
+    Observation,
+    SpanLog,
     chrome_trace,
+    render_self_time_table,
     scope,
     self_times,
-    render_self_time_table,
 )
-from repro.telemetry import registry as telemetry_registry
+from repro.openmp.runtime import TargetRuntime
+
+
+def _run_dracc(number: int) -> None:
+    rt = TargetRuntime(n_devices=2)
+    Arbalest().attach(rt.machine)
+    dracc_get(number).run(rt)
+
+
+def _observed(*, wall_clock: bool = False) -> Observation:
+    with scope(metrics=True, spans=True, wall_clock=wall_clock) as obs:
+        pass
+    return obs
 
 
 class TestCounters:
     def test_count_accumulates(self):
-        t = Telemetry()
-        t.count("a")
-        t.count("a", 4)
-        t.count("b")
-        assert t.counters == {"a": 5, "b": 1}
+        obs = _observed()
+        obs.metrics.count("a")
+        obs.metrics.count("a", 4)
+        obs.metrics.count("b")
+        assert obs.metrics.counters == {"a": 5, "b": 1}
 
     def test_gauge_keeps_last_value(self):
-        t = Telemetry()
-        t.gauge("x", 10)
-        t.gauge("x", 3)
-        assert t.gauges == {"x": 3}
+        obs = _observed()
+        obs.metrics.gauge("x", 10)
+        obs.metrics.gauge("x", 3)
+        assert obs.metrics.gauges == {"x": 3}
 
 
 class TestHistogram:
@@ -56,88 +74,94 @@ class TestHistogram:
         assert json.dumps(a.snapshot()) == json.dumps(b.snapshot())
 
     def test_observe_via_registry(self):
-        t = Telemetry()
-        t.observe("sizes", 64)
-        t.observe("sizes", 64)
-        assert t.histograms["sizes"].count == 2
+        obs = _observed()
+        obs.metrics.observe("sizes", 64)
+        obs.metrics.observe("sizes", 64)
+        assert obs.metrics.histograms["sizes"].count == 2
 
 
 class TestSpans:
     def test_span_records_interval(self):
-        t = Telemetry()
-        with t.span("cat", "outer", tid=3, device=1):
-            with t.span("cat", "inner"):
+        obs = _observed()
+        with obs.spans.span("cat", "outer", tid=3, device=1):
+            with obs.spans.span("cat", "inner"):
                 pass
-        assert len(t.spans) == 2
-        outer = next(s for s in t.spans if s.name == "outer")
-        inner = next(s for s in t.spans if s.name == "inner")
+        spans = obs.spans.spans
+        assert len(spans) == 2
+        outer = next(s for s in spans if s.name == "outer")
+        inner = next(s for s in spans if s.name == "inner")
         assert outer.tid == 3
         assert outer.args == {"device": 1}
         # Ordinals advance at every boundary: proper containment.
-        assert outer.ord_begin < inner.ord_begin < inner.ord_end < outer.ord_end
+        assert outer.begin < inner.begin < inner.end < outer.end
 
     def test_ordinal_clock_has_no_wall_timestamps(self):
-        t = Telemetry()
-        with t.span("cat", "s"):
+        obs = _observed()
+        with obs.spans.span("cat", "s"):
             pass
-        span = t.spans[0]
+        span = obs.spans.spans[0]
         assert span.wall_begin == 0.0 and span.wall_end == 0.0
         assert span.duration(wall=False) > 0
 
     def test_wall_clock_stamps_perf_counter(self):
-        t = Telemetry(wall_clock=True)
-        with t.span("cat", "s"):
+        obs = _observed(wall_clock=True)
+        with obs.spans.span("cat", "s"):
             pass
-        span = t.spans[0]
+        span = obs.spans.spans[0]
         assert span.wall_end >= span.wall_begin > 0.0
 
-    def test_record_spans_false_keeps_ordinal_but_drops_records(self):
-        t = Telemetry(record_spans=False)
-        with t.span("cat", "s"):
-            t.count("inside")
-        assert t.spans == []
-        assert t.ordinal == 2  # the clock still ticked at both boundaries
-        assert t.counters == {"inside": 1}
+    def test_metrics_only_observation_has_no_span_sink(self):
+        with scope(metrics=True) as obs:
+            _run_dracc(1)
+        assert obs.spans is None
+        assert obs.clock.ordinal == 0  # no span sink, nothing stamped
+        assert obs.metrics.counters["runtime.map_entries"] > 0
 
 
 class TestScope:
     def test_disabled_by_default(self):
-        assert telemetry_registry.ACTIVE is None
+        assert core.ACTIVE is None
 
     def test_scope_activates_and_restores(self):
-        t = Telemetry()
-        with scope(t) as active:
-            assert active is t
-            assert telemetry_registry.ACTIVE is t
-        assert telemetry_registry.ACTIVE is None
+        with scope(metrics=True) as active:
+            assert core.ACTIVE is active
+        assert core.ACTIVE is None
 
     def test_scope_nests(self):
-        outer, inner = Telemetry(), Telemetry()
-        with scope(outer):
-            with scope(inner):
-                assert telemetry_registry.ACTIVE is inner
-            assert telemetry_registry.ACTIVE is outer
+        with scope(metrics=True) as outer:
+            with scope(spans=True) as inner:
+                assert core.ACTIVE is inner
+                # The inner scope keeps the outer clock and metrics sink.
+                assert inner.clock is outer.clock
+                assert inner.metrics is outer.metrics
+                assert inner.spans is not None
+            assert core.ACTIVE is outer
+        assert outer.spans is None
 
     def test_scope_restores_on_exception(self):
-        t = Telemetry()
-        try:
-            with scope(t):
+        with pytest.raises(RuntimeError):
+            with scope(metrics=True):
                 raise RuntimeError("boom")
-        except RuntimeError:
-            pass
-        assert telemetry_registry.ACTIVE is None
+        assert core.ACTIVE is None
+
+    def test_inner_sink_replaces_outer_sink_of_the_same_kind(self):
+        with scope(metrics=True) as outer:
+            with scope(metrics=True) as inner:
+                inner.metrics.count("x")
+        assert inner.metrics is not outer.metrics
+        assert outer.metrics.counters == {}
 
 
 class TestSnapshot:
     def test_snapshot_is_json_serializable_and_sorted(self):
-        t = Telemetry()
-        t.count("z")
-        t.count("a")
-        t.gauge("g", 1.5)
-        t.observe("h", 9)
-        with t.span("cat", "s"):
+        obs = _observed()
+        obs.metrics.count("z")
+        obs.metrics.count("a")
+        obs.metrics.gauge("g", 1.5)
+        obs.metrics.observe("h", 9)
+        with obs.spans.span("cat", "s"):
             pass
-        snap = t.snapshot()
+        snap = obs.snapshot()
         assert json.loads(json.dumps(snap)) == snap
         assert list(snap["counters"]) == ["a", "z"]
         assert snap["clock"] == "ordinal"
@@ -145,42 +169,45 @@ class TestSnapshot:
 
 
 class TestChromeTrace:
-    def _traced(self):
-        t = Telemetry()
-        with t.span("runtime", "target:k", tid=1, device=0):
-            with t.span("bus", "arbalest.on_data_op", tid=1):
+    def _traced(self) -> SpanLog:
+        obs = _observed()
+        with obs.spans.span("runtime", "target:k", tid=1, device=0):
+            with obs.spans.span("bus", "arbalest.on_data_op", tid=1):
                 pass
-        return t
+        return obs.spans
 
     def test_complete_events_with_required_keys(self):
-        trace = chrome_trace(self._traced())
+        trace = chrome_trace([self._traced()])
         assert set(trace) == {"traceEvents", "displayTimeUnit", "otherData"}
         assert trace["otherData"]["clock"] == "ordinal"
-        assert len(trace["traceEvents"]) == 2
-        for event in trace["traceEvents"]:
+        complete = [e for e in trace["traceEvents"] if e["ph"] == "X"]
+        assert len(complete) == 2
+        for event in complete:
             for key in ("name", "cat", "ph", "pid", "tid", "ts", "dur"):
                 assert key in event
-            assert event["ph"] == "X"
+        (meta,) = [e for e in trace["traceEvents"] if e["ph"] == "M"]
+        assert meta["args"] == {"name": "main"}
 
     def test_events_sorted_parents_first(self):
-        events = chrome_trace(self._traced())["traceEvents"]
-        assert [e["name"] for e in events] == ["target:k", "arbalest.on_data_op"]
+        events = chrome_trace([self._traced()])["traceEvents"]
+        names = [e["name"] for e in events if e["ph"] == "X"]
+        assert names == ["target:k", "arbalest.on_data_op"]
 
     def test_round_trips_json(self):
-        trace = chrome_trace(self._traced())
+        trace = chrome_trace([self._traced()])
         assert json.loads(json.dumps(trace)) == trace
 
 
 class TestSelfTimes:
     def test_self_excludes_direct_children(self):
-        t = Telemetry()
-        with t.span("runtime", "outer"):  # ticks: 1 .. 8
-            with t.span("bus", "child"):  # 2 .. 5
-                with t.span("detector", "grandchild"):  # 3 .. 4
+        obs = _observed()
+        with obs.spans.span("runtime", "outer"):  # ticks: 1 .. 8
+            with obs.spans.span("bus", "child"):  # 2 .. 5
+                with obs.spans.span("detector", "grandchild"):  # 3 .. 4
                     pass
-            with t.span("bus", "child"):  # 6 .. 7
+            with obs.spans.span("bus", "child"):  # 6 .. 7
                 pass
-        rows = {(r["cat"], r["name"]): r for r in self_times(t)}
+        rows = {(r["cat"], r["name"]): r for r in self_times(obs.spans)}
         outer = rows[("runtime", "outer")]
         child = rows[("bus", "child")]
         grand = rows[("detector", "grandchild")]
@@ -192,36 +219,36 @@ class TestSelfTimes:
         assert grand["self"] == grand["total"]
 
     def test_sorted_by_self_descending(self):
-        t = Telemetry()
-        with t.span("a", "big"):
-            with t.span("b", "small"):
+        obs = _observed()
+        with obs.spans.span("a", "big"):
+            with obs.spans.span("b", "small"):
                 pass
-        rows = self_times(t)
+        rows = self_times(obs.spans)
         assert [r["self"] for r in rows] == sorted(
             (r["self"] for r in rows), reverse=True
         )
 
     def test_separate_tids_do_not_nest(self):
-        t = Telemetry()
-        with t.span("a", "t0", tid=0):
-            with t.span("a", "t1", tid=1):
+        obs = _observed()
+        with obs.spans.span("a", "t0", tid=0):
+            with obs.spans.span("a", "t1", tid=1):
                 pass
-        rows = {r["name"]: r for r in self_times(t)}
+        rows = {r["name"]: r for r in self_times(obs.spans)}
         # Different logical thread: t1 is not a child of t0.
         assert rows["t0"]["self"] == rows["t0"]["total"]
 
     def test_render_table(self):
-        t = Telemetry()
-        with t.span("runtime", "target:k"):
+        obs = _observed()
+        with obs.spans.span("runtime", "target:k"):
             pass
-        table = render_self_time_table(t)
+        table = render_self_time_table(obs.spans)
         assert "layer" in table and "self%" in table
         assert "target:k" in table
 
     def test_render_table_limit_overflow_row(self):
-        t = Telemetry()
+        obs = _observed()
         for i in range(5):
-            with t.span("cat", f"span{i}"):
+            with obs.spans.span("cat", f"span{i}"):
                 pass
-        table = render_self_time_table(t, limit=2)
+        table = render_self_time_table(obs.spans, limit=2)
         assert "(3 more spans)" in table

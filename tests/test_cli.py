@@ -282,7 +282,7 @@ class TestCommands:
         assert "self%" in out  # the self-time table rendered
         assert "wrote" in out
         trace = json.loads(out_file.read_text())
-        cats = {e["cat"] for e in trace["traceEvents"]}
+        cats = {e["cat"] for e in trace["traceEvents"] if e["ph"] == "X"}
         assert {"runtime", "bus", "detector"} <= cats
 
     def test_profile_unknown_benchmark_exits_2_with_one_line(self, capsys):
