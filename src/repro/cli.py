@@ -3,9 +3,7 @@
 ::
 
     python -m repro table3                 # Table III (precision on DRACC)
-    python -m repro fig8  [--preset ref]   # time overhead table + charts
-    python -m repro bench [--preset train] # tracked bench -> BENCH_fig8.json
-    python -m repro fig9  [--preset ref]   # memory usage table
+    python -m repro bench [--preset train] # Fig 8 + Fig 9 tables -> BENCH_fig8.json
     python -m repro casestudy              # 503.postencil (Fig 6/7)
     python -m repro ompsan                 # §VI.G static-vs-dynamic
     python -m repro lint  [--json]         # static linter over every twin
@@ -23,10 +21,8 @@
     python -m repro top --port 9000 --once # live per-shard table off /metrics
     python -m repro profile --suite dracc --benchmark 22   # metrics + spans -> trace.json
     python -m repro report [--suite buggy] # findings + provenance -> report.jsonl
-    python -m repro diff old.jsonl new.jsonl  # cross-run regression gate
-    python -m repro diff --history BENCH_history.jsonl old.json new.json
-    python -m repro sentinel               # statistical verdicts over the ledger
-    python -m repro sentinel --seed-from BENCH_fig8.json  # migrate old artifacts
+    python -m repro diff old.jsonl new.jsonl  # findings/synthesis regression gate
+    python -m repro sentinel               # judge bench timings over the ledger
     python -m repro list [--json]          # inventory
 
 Unknown artifact names (a bad ``--preset``, ``--suite``, or DRACC number)
@@ -39,6 +35,20 @@ import argparse
 import sys
 
 
+def _unknown_suite(command: str, name: str) -> bool:
+    """Print the one-line error for an unknown DRACC ``--suite``."""
+    from .dracc import SUITES
+
+    if name in SUITES:
+        return False
+    print(
+        f"repro {command}: error: unknown suite {name!r} "
+        f"(valid choices: {', '.join(SUITES)})",
+        file=sys.stderr,
+    )
+    return True
+
+
 def _cmd_table3(args: argparse.Namespace) -> int:
     from .harness import run_precision_comparison
 
@@ -49,24 +59,9 @@ def _cmd_table3(args: argparse.Namespace) -> int:
     return 0 if ok else 1
 
 
-def _cmd_fig8(args: argparse.Namespace) -> int:
-    from .harness import run_overhead_comparison
-    from .specaccel import WORKLOADS
-
-    result = run_overhead_comparison(
-        preset=args.preset, repetitions=args.reps, engine=args.engine
-    )
-    print(result.render_time_table())
-    print()
-    for w in WORKLOADS:
-        print(f"-- {w.name} ({w.spec_id}: {w.description}) --")
-        print(result.render_chart(w.name))
-        print()
-    return 0
-
-
 def _cmd_bench(args: argparse.Namespace) -> int:
     from .harness import run_bench
+    from .specaccel import WORKLOADS
 
     history = None
     if not args.no_history:
@@ -78,29 +73,24 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             os.path.dirname(args.output) or ".", "BENCH_history.jsonl"
         )
     try:
-        payload = run_bench(
+        result, payload = run_bench(
             preset=args.preset,
             repetitions=args.reps,
             output=args.output,
             telemetry=args.telemetry,
-            engine=args.engine,
             history=history,
             flamegraph=args.flamegraph,
         )
     except OSError as exc:
         print(f"repro bench: error: {exc}", file=sys.stderr)
         return 2
-    configs = payload["configs"]
-    width = max(12, max(len(c) for c in configs) + 2)
-    header = f"{'Workload':<12}" + "".join(f"{c:>{width}}" for c in configs)
-    print(f"Fig 8 benchmark (preset={payload['preset']}, "
-          f"engine={payload['engine']}, reps={payload['repetitions']})")
-    print(header)
-    for w, row in payload["workloads"].items():
-        print(
-            f"{w:<12}"
-            + "".join(f"{row[c]['slowdown']:>{width - 1}.2f}x" for c in configs)
-        )
+    print(result.render_time_table())
+    print()
+    for w in WORKLOADS:
+        print(f"-- {w.name} ({w.spec_id}: {w.description}) --")
+        print(result.render_chart(w.name))
+        print()
+    print(result.render_space_table())
     s = payload["summary"]
     print(
         f"\narbalest slowdown: geomean {s['arbalest_slowdown_geomean']:.2f}x, "
@@ -140,14 +130,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     if args.flamegraph:
         print(f"wrote flamegraph {args.flamegraph}")
     return 0 if consistent else 1
-
-
-def _cmd_fig9(args: argparse.Namespace) -> int:
-    from .harness import run_overhead_comparison
-
-    result = run_overhead_comparison(preset=args.preset, repetitions=1)
-    print(result.render_space_table())
-    return 0
 
 
 def _cmd_casestudy(args: argparse.Namespace) -> int:
@@ -392,14 +374,9 @@ def _cmd_chaos_serve(args: argparse.Namespace) -> int:
 
 
 def _cmd_chaos(args: argparse.Namespace) -> int:
-    from .harness import CHAOS_SUITES, run_chaos
+    from .harness import run_chaos
 
-    if args.suite not in CHAOS_SUITES:
-        print(
-            f"repro chaos: error: unknown suite {args.suite!r} "
-            f"(valid choices: {', '.join(CHAOS_SUITES)})",
-            file=sys.stderr,
-        )
+    if _unknown_suite("chaos", args.suite):
         return 2
     if args.target == "serve":
         return _cmd_chaos_serve(args)
@@ -469,15 +446,9 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    from .harness import SERVE_SUITES
     from .harness.precision import TOOL_FACTORIES
 
-    if args.suite not in SERVE_SUITES:
-        print(
-            f"repro serve: error: unknown suite {args.suite!r} "
-            f"(valid choices: {', '.join(SERVE_SUITES)})",
-            file=sys.stderr,
-        )
+    if _unknown_suite("serve", args.suite):
         return 2
     tools = tuple(t.strip() for t in args.tools.split(",") if t.strip())
     unknown = [t for t in tools if t not in TOOL_FACTORIES]
@@ -578,10 +549,15 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 f"{profile['events']} events (final stride {profile['stride']})"
             )
         print(f"  delivery verified: {'yes' if payload['delivery_ok'] else 'NO'}")
+        # A run that ends in violation of its own SLOs fails, whatever
+        # its speed.
+        burning = payload["observability"].get("watchdog", {}).get("burning")
+        if burning:
+            print(f"  SLO watchdog still burning: {', '.join(burning)}")
         print(f"wrote {output}")
         if history:
             print(f"appended to ledger {history}")
-        return 0 if payload["delivery_ok"] else 1
+        return 0 if payload["delivery_ok"] and not burning else 1
 
     # Default: the loopback equivalence run (the serve self-test).
     from .harness import run_serve_suite
@@ -703,15 +679,10 @@ def _cmd_profile(args: argparse.Namespace) -> int:
 def _cmd_report(args: argparse.Namespace) -> int:
     from .forensics.html import render_html
     from .forensics.report import render_text, write_report
-    from .harness import REPORT_SUITES, run_report
+    from .harness import run_report
     from .harness.precision import TOOL_FACTORIES
 
-    if args.suite not in REPORT_SUITES:
-        print(
-            f"repro report: error: unknown suite {args.suite!r} "
-            f"(valid choices: {', '.join(REPORT_SUITES)})",
-            file=sys.stderr,
-        )
+    if _unknown_suite("report", args.suite):
         return 2
     tools = tuple(t.strip() for t in args.tools.split(",") if t.strip())
     unknown = [t for t in tools if t not in TOOL_FACTORIES]
@@ -752,9 +723,7 @@ def _cmd_diff(args: argparse.Namespace) -> int:
     from .forensics.diff import diff_artifacts, render_diff
 
     try:
-        result = diff_artifacts(
-            args.old, args.new, threshold=args.threshold, history=args.history
-        )
+        result = diff_artifacts(args.old, args.new)
     except (OSError, ValueError) as exc:
         print(f"repro diff: error: {exc}", file=sys.stderr)
         return 2
@@ -763,7 +732,7 @@ def _cmd_diff(args: argparse.Namespace) -> int:
 
 
 def _cmd_sentinel(args: argparse.Namespace) -> int:
-    from .observe.history import HISTORY_KINDS, seed_history
+    from .observe.history import HISTORY_KINDS
     from .observe.sentinel import render_sentinel, run_sentinel
 
     if args.kind not in HISTORY_KINDS:
@@ -773,21 +742,11 @@ def _cmd_sentinel(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    if args.seed_from:
-        try:
-            appended = seed_history(args.history, args.seed_from)
-        except OSError as exc:
-            print(f"repro sentinel: error: {exc}", file=sys.stderr)
-            return 2
-        print(f"seeded {appended} entr(y/ies) into {args.history}")
     try:
         payload = run_sentinel(
             args.history,
             kind=args.kind,
             window=args.window,
-            alpha=args.alpha,
-            seed=args.seed,
-            resamples=args.resamples,
             min_shift=args.min_shift,
         )
     except (OSError, ValueError) as exc:
@@ -835,22 +794,14 @@ def build_parser() -> argparse.ArgumentParser:
         fn=_cmd_table3
     )
 
-    p8 = sub.add_parser("fig8", help="Fig 8: time overhead on SPEC ACCEL")
-    p8.add_argument(
-        "--preset", default="ref", choices=("test", "train", "ref", "large")
-    )
-    p8.add_argument("--reps", type=int, default=3)
-    p8.add_argument("--engine", default="scalar", choices=("scalar", "columnar"))
-    p8.set_defaults(fn=_cmd_fig8)
-
     pb = sub.add_parser(
-        "bench", help="tracked benchmark: Fig-8 matrix -> BENCH_fig8.json"
+        "bench",
+        help="Fig 8/9: time and memory overhead on SPEC ACCEL -> BENCH_fig8.json",
     )
     pb.add_argument(
         "--preset", default="train", choices=("test", "train", "ref", "large")
     )
     pb.add_argument("--reps", type=int, default=3)
-    pb.add_argument("--engine", default="scalar", choices=("scalar", "columnar"))
     pb.add_argument("--output", default="BENCH_fig8.json")
     pb.add_argument(
         "--telemetry",
@@ -876,10 +827,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="write the continuous profiler's flamegraph HTML to PATH",
     )
     pb.set_defaults(fn=_cmd_bench)
-
-    p9 = sub.add_parser("fig9", help="Fig 9: memory usage on SPEC ACCEL")
-    p9.add_argument("--preset", default="ref", choices=("test", "train", "ref"))
-    p9.set_defaults(fn=_cmd_fig9)
 
     pc = sub.add_parser("casestudy", help="Fig 6/7: 503.postencil")
     pc.add_argument("--preset", default="ref", choices=("test", "train", "ref"))
@@ -1183,23 +1130,13 @@ def build_parser() -> argparse.ArgumentParser:
     pr.set_defaults(fn=_cmd_report)
 
     pf = sub.add_parser(
-        "diff", help="compare two report/bench artifacts; exit 1 on regression"
+        "diff",
+        help="compare two report or synth-bench artifacts; exit 1 on regression",
     )
-    pf.add_argument("old", help="baseline artifact (report JSONL or bench JSON)")
+    pf.add_argument(
+        "old", help="baseline artifact (report JSONL or synth-bench JSON)"
+    )
     pf.add_argument("new", help="candidate artifact of the same type")
-    pf.add_argument(
-        "--threshold",
-        type=float,
-        default=0.05,
-        help="relative slowdown growth tolerated in bench diffs (default 5%%)",
-    )
-    pf.add_argument(
-        "--history",
-        default=None,
-        metavar="PATH",
-        help="bench-history ledger: calibrate per-metric thresholds from "
-        "this machine's historical noise instead of the flat --threshold",
-    )
     pf.set_defaults(fn=_cmd_diff)
 
     pn = sub.add_parser(
@@ -1227,37 +1164,11 @@ def build_parser() -> argparse.ArgumentParser:
         "population (default: 5)",
     )
     pn.add_argument(
-        "--alpha",
-        type=float,
-        default=0.05,
-        help="Mann-Whitney significance level (default: 0.05)",
-    )
-    pn.add_argument(
         "--min-shift",
         type=float,
         default=0.02,
         help="practical floor: smaller relative median shifts are never "
         "regressions (default: 0.02)",
-    )
-    pn.add_argument(
-        "--seed",
-        type=int,
-        default=108,
-        help="bootstrap RNG seed (verdicts are deterministic per seed)",
-    )
-    pn.add_argument(
-        "--resamples",
-        type=int,
-        default=1000,
-        help="bootstrap resamples for the shift CI (default: 1000)",
-    )
-    pn.add_argument(
-        "--seed-from",
-        nargs="+",
-        default=None,
-        metavar="ARTIFACT",
-        help="first migrate these pre-ledger BENCH_*.json artifacts "
-        "into the ledger",
     )
     pn.add_argument(
         "--json",

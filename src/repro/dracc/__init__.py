@@ -2,6 +2,7 @@
 
 from .registry import (
     EXPECTED_EFFECT,
+    SUITES,
     TABLE3_BO,
     TABLE3_BUGGY,
     TABLE3_USD,
@@ -12,6 +13,7 @@ from .registry import (
     buggy_benchmarks,
     clean_benchmarks,
     get,
+    suite,
 )
 
 __all__ = [
@@ -21,6 +23,8 @@ __all__ = [
     "buggy_benchmarks",
     "clean_benchmarks",
     "get",
+    "suite",
+    "SUITES",
     "EXPECTED_EFFECT",
     "TABLE3_UUM",
     "TABLE3_BO",

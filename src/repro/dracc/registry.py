@@ -126,3 +126,20 @@ def buggy_benchmarks() -> tuple[DraccBenchmark, ...]:
 def clean_benchmarks() -> tuple[DraccBenchmark, ...]:
     """The 40 issue-free benchmarks (no tool may report on them)."""
     return tuple(b for b in all_benchmarks() if not b.is_buggy)
+
+
+#: Valid ``--suite`` selections for every DRACC-driven command.
+SUITES = ("buggy", "clean", "all")
+
+
+def suite(name: str) -> tuple[DraccBenchmark, ...]:
+    """The benchmarks of suite ``name`` (one of :data:`SUITES`)."""
+    if name == "buggy":
+        return buggy_benchmarks()
+    if name == "clean":
+        return clean_benchmarks()
+    if name == "all":
+        return all_benchmarks()
+    raise ValueError(
+        f"unknown suite {name!r} (valid choices: {', '.join(SUITES)})"
+    )

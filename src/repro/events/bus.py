@@ -34,7 +34,7 @@ else.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 from ..observe import core as _obs
 
@@ -137,6 +137,22 @@ class ToolBus:
         self._sync = overriding("on_sync")
         self._flush = overriding("on_flush")
         self._memcpy = overriding("on_memcpy")
+
+    def publishers(self) -> dict[type, Callable[[object], None]]:
+        """Event type -> this bus's publish method, for replaying a trace.
+
+        A replay loop pays one dict lookup and one bound-method call per
+        event: ``bus.publishers()[type(event)](event)``.
+        """
+        return {
+            Access: self.publish_access,
+            DataOp: self.publish_data_op,
+            MemcpyEvent: self.publish_memcpy,
+            KernelEvent: self.publish_kernel,
+            AllocationEvent: self.publish_allocation,
+            SyncEvent: self.publish_sync,
+            FlushEvent: self.publish_flush,
+        }
 
     @property
     def tools(self) -> tuple["Tool", ...]:

@@ -443,15 +443,7 @@ def replay(events: Iterable[object], tools: Iterable[Tool]) -> ToolBus:
     bus = ToolBus()
     for tool in tools:
         bus.attach(tool)
-    dispatch = {
-        Access: bus.publish_access,
-        DataOp: bus.publish_data_op,
-        MemcpyEvent: bus.publish_memcpy,
-        KernelEvent: bus.publish_kernel,
-        AllocationEvent: bus.publish_allocation,
-        SyncEvent: bus.publish_sync,
-        FlushEvent: bus.publish_flush,
-    }
+    dispatch = bus.publishers()
     for event in events:
         dispatch[type(event)](event)
     return bus

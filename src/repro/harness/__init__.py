@@ -2,14 +2,12 @@
 
 from .casestudy import CaseStudyResult, run_case_study
 from .chaos import (
-    CHAOS_SUITES,
     MAX_EVENT_FAULT_DIVERGENCE,
     run_chaos,
     run_chaos_campaign,
 )
 from .overhead import (
     CONFIGS,
-    ENGINES,
     LARGE_CONFIGS,
     Measurement,
     OverheadResult,
@@ -26,7 +24,7 @@ from .hybrid import (
     run_hybrid_comparison,
 )
 from .profile import PROFILE_CLOCKS, PROFILE_SUITES, inventory, run_profile
-from .report import REPORT_SUITES, run_report
+from .report import run_report
 from .synth import (
     SynthMatrixResult,
     SynthProgramRow,
@@ -36,7 +34,6 @@ from .synth import (
 from .serve import (
     SERVE_BENCH_ARTIFACT,
     SERVE_CHAOS_KINDS,
-    SERVE_SUITES,
     run_serve_bench,
     run_serve_chaos,
     run_serve_chaos_campaign,
@@ -68,7 +65,6 @@ __all__ = [
     "OverheadResult",
     "Measurement",
     "CONFIGS",
-    "ENGINES",
     "LARGE_CONFIGS",
     "run_hybrid_comparison",
     "run_benchmark_hybrid",
@@ -81,17 +77,14 @@ __all__ = [
     "run_chaos_campaign",
     "run_profile",
     "run_report",
-    "REPORT_SUITES",
     "inventory",
     "PROFILE_SUITES",
     "PROFILE_CLOCKS",
-    "CHAOS_SUITES",
     "MAX_EVENT_FAULT_DIVERGENCE",
     "run_serve_suite",
     "run_serve_bench",
     "run_serve_chaos",
     "run_serve_chaos_campaign",
-    "SERVE_SUITES",
     "SERVE_CHAOS_KINDS",
     "SERVE_BENCH_ARTIFACT",
     "run_synth_matrix",

@@ -33,34 +33,14 @@ import random
 from typing import Iterable
 
 from ..core.detector import Arbalest
-from ..dracc.registry import (
-    DraccBenchmark,
-    all_benchmarks,
-    buggy_benchmarks,
-    clean_benchmarks,
-)
+from ..dracc.registry import DraccBenchmark, suite as dracc_suite
 from ..faults.injector import FaultInjector
 from ..faults.plan import FaultPlan
 from ..openmp.runtime import TargetRuntime
 
-#: Valid ``--suite`` selections for the chaos CLI.
-CHAOS_SUITES = ("all", "buggy", "clean")
-
 #: Upper bound asserted on the fraction of event-faulted runs whose
 #: findings diverge from baseline ("bounded precision loss").
 MAX_EVENT_FAULT_DIVERGENCE = 0.5
-
-
-def _suite(name: str) -> tuple[DraccBenchmark, ...]:
-    if name == "buggy":
-        return buggy_benchmarks()
-    if name == "clean":
-        return clean_benchmarks()
-    if name == "all":
-        return all_benchmarks()
-    raise ValueError(
-        f"unknown suite {name!r} (valid choices: {', '.join(CHAOS_SUITES)})"
-    )
 
 
 def _plan_seed(campaign_seed: int, schedule: int, bench_number: int) -> int:
@@ -113,7 +93,7 @@ def run_chaos_campaign(
     every run, baseline and faulted alike — the recovery guarantees must
     hold under both, which is why CI runs the campaign under each.
     """
-    benches = tuple(benchmarks) if benchmarks is not None else _suite(suite)
+    benches = tuple(benchmarks) if benchmarks is not None else dracc_suite(suite)
 
     # Un-faulted baseline, once per benchmark.
     baseline: dict[int, tuple[tuple[str, ...], bool]] = {}

@@ -39,17 +39,17 @@ from .tables import render_ratio_chart, render_table
 #: SafetyCertificate — the staticlint speedup the tracked bench records),
 #: then ARBALEST with the forensics flight recorder active (the tracked
 #: recorder-overhead number: it must stay within a few percent of plain
-#: arbalest, which ``repro diff`` gates on), then ARBALEST with the
+#: arbalest, which ``repro sentinel`` watches), then ARBALEST with the
 #: continuous profiler sampling (governor at default budget — the tracked
 #: profiler-tax number, gated at a couple percent over plain arbalest).
 CONFIGS = ("native", *TOOL_ORDER, "arbalest-cert", "arbalest-rec", "arbalest-prof")
 
-#: Event engines the harness can drive (``ToolBus`` dispatch modes).
-ENGINES = ("scalar", "columnar")
+#: The one event engine the bench runs (``ToolBus`` batched dispatch) —
+#: the engine of ``repro serve`` and of the repo benchmark too.
+ENGINE = "columnar"
 
-#: The ``large`` preset is sized for the columnar engine: the full matrix
-#: under the scalar engine does not finish in CI time, so it runs the
-#: detector configurations only (EXPERIMENTS.md documents the measured gap).
+#: The ``large`` preset's element-wise twins make the full matrix too slow
+#: for CI, so it runs the detector configurations only.
 LARGE_CONFIGS = ("native", "arbalest", "arbalest-cert")
 
 
@@ -70,7 +70,6 @@ class Measurement:
 @dataclass
 class OverheadResult:
     preset: str
-    engine: str = "scalar"
     measurements: list[Measurement] = field(default_factory=list)
     #: The shared continuous profiler from the ``arbalest-prof`` cells
     #: (``None`` when that configuration was not measured).
@@ -117,7 +116,7 @@ class OverheadResult:
             rows,
             title=(
                 "Fig 8: time overhead (slowdown vs native, "
-                f"preset={self.preset}, engine={self.engine})"
+                f"preset={self.preset}, engine={ENGINE})"
             ),
         )
 
@@ -158,13 +157,12 @@ def measure_one(
     preset: str,
     *,
     repetitions: int = 1,
-    engine: str = "scalar",
     profiler: Profiler | None = None,
 ) -> Measurement:
     """One (workload, tool) cell: fresh machine, attach, run, account."""
     best = None
     for _ in range(max(1, repetitions)):
-        rt = TargetRuntime(n_devices=1, engine=engine)
+        rt = TargetRuntime(n_devices=1, engine=ENGINE)
         tool = None
         recorder = None
         run_scope = nullcontext()
@@ -237,14 +235,11 @@ def run_overhead_comparison(
     workloads: Iterable[Workload] = WORKLOADS,
     configs: Iterable[str] | None = None,
     repetitions: int = 3,
-    engine: str = "scalar",
 ) -> OverheadResult:
     """The whole Fig 8 + Fig 9 experiment."""
-    if engine not in ENGINES:
-        raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")
     if configs is None:
         configs = LARGE_CONFIGS if preset == "large" else CONFIGS
-    result = OverheadResult(preset=preset, engine=engine)
+    result = OverheadResult(preset=preset)
     configs = tuple(configs)
     if "arbalest-prof" in configs:
         # One profiler across all arbalest-prof cells: the governor keeps
@@ -257,7 +252,7 @@ def run_overhead_comparison(
     # Run the *measured* preset: warming a different one leaves preset-sized
     # allocations and code paths cold and skews the first column.
     for w in workloads:
-        rt = TargetRuntime(n_devices=1, engine=engine)
+        rt = TargetRuntime(n_devices=1, engine=ENGINE)
         w.run(rt, preset)
         rt.finalize()
     for w in workloads:
@@ -268,7 +263,6 @@ def run_overhead_comparison(
                     config,
                     preset,
                     repetitions=repetitions,
-                    engine=engine,
                     profiler=result.profiler,
                 )
             )
@@ -287,7 +281,7 @@ def bench_payload(result: OverheadResult, *, repetitions: int) -> dict:
     configs = result.configs
     payload: dict = {
         "preset": result.preset,
-        "engine": result.engine,
+        "engine": ENGINE,
         "repetitions": repetitions,
         "configs": configs,
         "checksums_consistent": result.checksums_consistent(),
@@ -344,7 +338,7 @@ def bench_payload(result: OverheadResult, *, repetitions: int) -> dict:
         if result.profiler is not None:
             payload["profiler"] = result.profiler.stats()
     payload["meta"] = run_meta(
-        engine=result.engine, preset=result.preset, reps=repetitions
+        engine=ENGINE, preset=result.preset, reps=repetitions
     )
     return payload
 
@@ -365,11 +359,13 @@ def run_bench(
     repetitions: int = 3,
     output: str = "BENCH_fig8.json",
     telemetry: bool = False,
-    engine: str = "scalar",
     history: str | None = None,
     flamegraph: str | None = None,
-) -> dict:
-    """Run the Fig-8 matrix and write the tracked ``BENCH_fig8.json``.
+) -> tuple[OverheadResult, dict]:
+    """Run the Fig 8/9 matrix and write the tracked ``BENCH_fig8.json``.
+
+    Returns the measurements (for the Fig 8/9 tables) and the payload
+    written to ``output``.
 
     ``telemetry=True`` measures the whole matrix inside a metrics-only
     observation scope and embeds the metric snapshot under a
@@ -384,20 +380,13 @@ def run_bench(
     if not os.path.isdir(out_dir):
         # Fail before the minutes-long measurement, not after it.
         raise FileNotFoundError(f"output directory does not exist: {out_dir}")
-    if telemetry:
-        # Metrics only: a span per event over the whole matrix would not
-        # fit in memory, and the snapshot is what the tracked file embeds.
-        with scope(metrics=True) as observation:
-            result = run_overhead_comparison(
-                preset, repetitions=repetitions, engine=engine
-            )
-        payload = bench_payload(result, repetitions=repetitions)
+    # Metrics only: a span per event over the whole matrix would not fit
+    # in memory, and the snapshot is what the tracked file embeds.
+    with scope(metrics=True) if telemetry else nullcontext() as observation:
+        result = run_overhead_comparison(preset, repetitions=repetitions)
+    payload = bench_payload(result, repetitions=repetitions)
+    if observation is not None:
         payload["telemetry"] = observation.snapshot()
-    else:
-        result = run_overhead_comparison(
-            preset, repetitions=repetitions, engine=engine
-        )
-        payload = bench_payload(result, repetitions=repetitions)
     with open(output, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=False)
         fh.write("\n")
@@ -407,8 +396,8 @@ def run_bench(
         write_flamegraph(
             flamegraph,
             result.profiler.folded(),
-            title=f"repro bench {preset}/{engine} · arbalest-prof",
+            title=f"repro bench {preset}/{ENGINE} · arbalest-prof",
         )
     if history is not None:
         append_history(history, payload)
-    return payload
+    return result, payload

@@ -16,32 +16,12 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from ..dracc.registry import (
-    DraccBenchmark,
-    all_benchmarks,
-    buggy_benchmarks,
-    clean_benchmarks,
-)
+from ..dracc.registry import DraccBenchmark, suite as dracc_suite
 from ..forensics import DEFAULT_CAPACITY, FlightRecorder
 from ..observe.core import scope
 from ..forensics.report import SCHEMA, build_summary, finding_entry
 from ..openmp.runtime import TargetRuntime
 from .precision import TOOL_FACTORIES
-
-#: Valid ``--suite`` selections for the report CLI.
-REPORT_SUITES = ("buggy", "clean", "all")
-
-
-def _suite(name: str) -> tuple[DraccBenchmark, ...]:
-    if name == "buggy":
-        return buggy_benchmarks()
-    if name == "clean":
-        return clean_benchmarks()
-    if name == "all":
-        return all_benchmarks()
-    raise ValueError(
-        f"unknown suite {name!r} (valid choices: {', '.join(REPORT_SUITES)})"
-    )
 
 
 def run_report(
@@ -64,7 +44,7 @@ def run_report(
             f"unknown tool(s) {', '.join(unknown)} "
             f"(valid choices: {', '.join(sorted(TOOL_FACTORIES))})"
         )
-    benches = tuple(benchmarks) if benchmarks is not None else _suite(suite)
+    benches = tuple(benchmarks) if benchmarks is not None else dracc_suite(suite)
     findings: list[dict] = []
     for bench in benches:
         recorder = FlightRecorder(capacity)

@@ -13,8 +13,8 @@ over the loopback transport):
   report.
 * :func:`run_serve_bench` — the throughput run.  Events/sec and frame
   latency percentiles over the streamed suite, written to the tracked
-  ``BENCH_serve.json`` (``serve-bench/1`` shape, understood by
-  ``repro diff --threshold``).
+  ``BENCH_serve.json`` (``serve-bench/1`` shape) and appended to the
+  bench-history ledger that ``repro sentinel`` judges.
 * :func:`run_serve_chaos_campaign` — the certification run.  Seeded
   schedules of serve faults (worker kills, frame drop/dup/reorder) are
   injected while streaming; the campaign asserts **zero crashes** and
@@ -31,22 +31,8 @@ import random
 import time
 from typing import Iterable
 
-from ..dracc.registry import (
-    DraccBenchmark,
-    all_benchmarks,
-    buggy_benchmarks,
-    clean_benchmarks,
-)
+from ..dracc.registry import DraccBenchmark, suite as dracc_suite
 from ..events.bus import ToolBus
-from ..events.records import (
-    Access,
-    AllocationEvent,
-    DataOp,
-    FlushEvent,
-    KernelEvent,
-    MemcpyEvent,
-    SyncEvent,
-)
 from ..events.trace_io import TraceWriter, read_trace
 from ..faults.plan import FaultKind, FaultPlan
 from ..forensics.recorder import FlightRecorder
@@ -62,9 +48,6 @@ from ..serve import (
     register_forensic_ranges,
 )
 
-#: Valid ``--suite`` selections for the serve CLI.
-SERVE_SUITES = ("buggy", "clean", "all")
-
 #: Serve fault kinds in deterministic generation order (the frozenset in
 #: :mod:`repro.faults.plan` has no order; plans must).
 SERVE_CHAOS_KINDS = (
@@ -74,20 +57,8 @@ SERVE_CHAOS_KINDS = (
     FaultKind.FRAME_REORDER,
 )
 
-#: The serve-bench artifact identifier ``repro diff`` sniffs on.
+#: The serve-bench artifact identifier the ledger classifies on.
 SERVE_BENCH_ARTIFACT = "serve-bench/1"
-
-
-def _suite(name: str) -> tuple[DraccBenchmark, ...]:
-    if name == "buggy":
-        return buggy_benchmarks()
-    if name == "clean":
-        return clean_benchmarks()
-    if name == "all":
-        return all_benchmarks()
-    raise ValueError(
-        f"unknown suite {name!r} (valid choices: {', '.join(SERVE_SUITES)})"
-    )
 
 
 def record_trace(bench: DraccBenchmark) -> list:
@@ -114,15 +85,7 @@ def baseline_fingerprints(
     bus = ToolBus()
     for tool in instances.values():
         bus.attach(tool)
-    dispatch = {
-        Access: bus.publish_access,
-        DataOp: bus.publish_data_op,
-        MemcpyEvent: bus.publish_memcpy,
-        KernelEvent: bus.publish_kernel,
-        AllocationEvent: bus.publish_allocation,
-        SyncEvent: bus.publish_sync,
-        FlushEvent: bus.publish_flush,
-    }
+    dispatch = bus.publishers()
     recorder = FlightRecorder()
     with scope(recorder=recorder):
         for event in events:
@@ -158,7 +121,7 @@ def run_serve_suite(
     ``repro-report/1`` document built from the *delivered* findings.
     """
     tools = tuple(tools)
-    benches = tuple(benchmarks) if benchmarks is not None else _suite(suite)
+    benches = tuple(benchmarks) if benchmarks is not None else dracc_suite(suite)
     server = AnalysisServer(
         ServerConfig(
             n_shards=n_shards, engine=engine, tools=tools, queue_cap=queue_cap
@@ -278,13 +241,14 @@ def run_serve_bench(
     ``observe=True`` (the default, matching production) runs the bench
     with the live observer attached — metrics, latency histograms, SLO
     watchdog — so the published number *includes* the observability tax
-    and the artifact records the watchdog's verdicts for ``repro diff``.
+    and the artifact records the watchdog's verdicts (``repro serve
+    --bench`` fails a run that ends with an SLO still burning).
     Span tracing stays off: it is a debugging mode, not a serving mode.
     """
     from ..observe import DEFAULT_SLOS, ServeObserver
 
     tools = tuple(tools)
-    benches = tuple(benchmarks) if benchmarks is not None else _suite(suite)
+    benches = tuple(benchmarks) if benchmarks is not None else dracc_suite(suite)
     observer = (
         ServeObserver(slos=DEFAULT_SLOS, trace_spans=False, wall_clock=True)
         if observe
@@ -426,7 +390,7 @@ def run_serve_chaos_campaign(
     from ..observe.core import chrome_trace, spans_by_frame, write_trace
 
     tools = tuple(tools)
-    benches = tuple(benchmarks) if benchmarks is not None else _suite(suite)
+    benches = tuple(benchmarks) if benchmarks is not None else dracc_suite(suite)
 
     traces = {bench.number: record_trace(bench) for bench in benches}
     baselines = {

@@ -18,8 +18,7 @@ platform) so cross-machine entries can be told apart — the sentinel refuses
 to mix engines, and fingerprint changes are reported alongside verdicts.
 
 The ledger is append-only JSONL so concurrent CI jobs can cat their shards
-together, and :func:`seed_history` migrates the pre-ledger ``BENCH_*.json``
-artifacts so history starts with whatever the repo already measured.
+together.
 """
 
 from __future__ import annotations
@@ -28,7 +27,6 @@ import json
 import os
 import platform
 import sys
-from typing import Iterable
 
 import numpy as np
 
@@ -38,7 +36,7 @@ HISTORY_SCHEMA = "bench-history/1"
 #: Default ledger path, tracked in-repo so history survives checkouts.
 DEFAULT_HISTORY = "BENCH_history.jsonl"
 
-#: Artifact kinds the ledger accepts (mirrors ``forensics.diff`` sniffing).
+#: Artifact kinds the ledger accepts (:func:`artifact_kind`'s answers).
 HISTORY_KINDS = ("bench", "serve-bench", "synth-bench")
 
 
@@ -112,22 +110,27 @@ def _synth_metrics(payload: dict) -> dict:
     return metrics
 
 
-def artifact_kind(payload: dict) -> str:
-    """Classify a bench payload the same way ``forensics.diff`` sniffs it."""
-    artifact = payload.get("artifact")
-    if artifact == "serve-bench/1":
-        return "serve-bench"
-    if artifact == "synth-bench/1":
-        return "synth-bench"
-    if "workloads" in payload and "summary" in payload:
-        return "bench"
+def artifact_kind(payload: object) -> str:
+    """Classify one JSON artifact as one of :data:`HISTORY_KINDS`.
+
+    The one classifier behind both the ledger and ``repro diff``.
+    """
+    if isinstance(payload, dict):
+        artifact = payload.get("artifact")
+        if artifact == "serve-bench/1":
+            return "serve-bench"
+        if artifact == "synth-bench/1":
+            return "synth-bench"
+        if "workloads" in payload and "summary" in payload:
+            return "bench"
     raise ValueError(
-        "cannot classify artifact for the history ledger: "
-        f"artifact={artifact!r}, keys={sorted(payload)[:8]}"
+        "JSON document is neither a bench artifact (workloads+summary), "
+        "a serve-bench artifact (serve-bench/1), nor a synth-bench "
+        "artifact (synth-bench/1)"
     )
 
 
-def history_entry(payload: dict, *, meta: dict | None = None) -> dict:
+def history_entry(payload: dict) -> dict:
     """Distil one bench payload into a ledger entry (without ordinal)."""
     kind = artifact_kind(payload)
     if kind == "bench":
@@ -136,8 +139,7 @@ def history_entry(payload: dict, *, meta: dict | None = None) -> dict:
         metrics = _serve_metrics(payload)
     else:
         metrics = _synth_metrics(payload)
-    if meta is None:
-        meta = payload.get("meta")
+    meta = payload.get("meta")
     if meta is None:
         meta = run_meta(engine=str(payload.get("engine", "scalar")))
     return {
@@ -193,46 +195,9 @@ def _next_ordinal(path: str) -> int:
     return last + 1
 
 
-def append_history(path: str, payload: dict, *, meta: dict | None = None) -> dict:
+def append_history(path: str, payload: dict) -> dict:
     """Append one bench payload to the ledger; returns the written entry."""
-    entry = history_entry(payload, meta=meta)
-    entry = {
-        "schema": entry["schema"],
-        "kind": entry["kind"],
-        "ordinal": _next_ordinal(path),
-        "meta": entry["meta"],
-        "metrics": entry["metrics"],
-    }
+    entry = {"ordinal": _next_ordinal(path), **history_entry(payload)}
     with open(path, "a", encoding="utf-8") as handle:
         handle.write(json.dumps(entry, sort_keys=True) + "\n")
     return entry
-
-
-def seed_history(path: str, artifacts: Iterable[str]) -> int:
-    """Migrate pre-ledger ``BENCH_*.json`` artifacts into the ledger.
-
-    Entries are marked ``seeded`` in their meta (their environment
-    fingerprint is unknown — the artifact predates the ledger).  Returns
-    the number of entries appended; unreadable or unclassifiable files are
-    skipped rather than aborting the migration.
-    """
-    appended = 0
-    for artifact in artifacts:
-        try:
-            with open(artifact, "r", encoding="utf-8") as handle:
-                payload = json.load(handle)
-            meta = payload.get("meta")
-            if meta is None:
-                meta = {
-                    "engine": str(payload.get("engine", "scalar")),
-                    "seeded": True,
-                    "source": os.path.basename(artifact),
-                }
-                for key in ("preset", "repetitions"):
-                    if key in payload:
-                        meta["reps" if key == "repetitions" else key] = payload[key]
-            append_history(path, payload, meta=meta)
-            appended += 1
-        except (OSError, ValueError):
-            continue
-    return appended

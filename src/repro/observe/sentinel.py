@@ -1,8 +1,9 @@
 """Statistical perf-regression sentinel over the bench-history ledger.
 
-The fixed 5% threshold in ``repro diff`` is threshold folklore: on a noisy
+The one judge of timed artifacts (``repro bench`` and ``repro serve
+--bench``).  A fixed threshold between two runs is folklore: on a noisy
 machine it cries wolf, on a quiet one it waves through a real 4% loss.  The
-sentinel replaces it with two classical tests over the *history* of runs:
+sentinel applies two classical tests over the *history* of runs instead:
 
 * a **Mann-Whitney U** change-point test (normal approximation with tie
   correction — no scipy in this environment) comparing the last ``window``
@@ -11,7 +12,7 @@ sentinel replaces it with two classical tests over the *history* of runs:
   so a verdict also says *how big* the change is, with uncertainty.
 
 A series regresses only when all three hold: the shift points in the bad
-direction for that metric, the Mann-Whitney p-value clears ``alpha``, and
+direction for that metric, the Mann-Whitney p-value clears :data:`ALPHA`, and
 the bootstrap CI excludes zero on the bad side with the median shift beyond
 a practical floor (``min_shift``, default 2% — statistically real but
 microscopic moves are not actionable).  Everything is seeded and
@@ -33,19 +34,19 @@ from typing import Sequence
 from .history import load_history
 
 #: Two-sided significance level for the Mann-Whitney verdict.
-DEFAULT_ALPHA = 0.05
+ALPHA = 0.05
 
 #: Change-point window: the last N runs are the candidate population.
 DEFAULT_WINDOW = 5
 
 #: Bootstrap resamples for the shift confidence interval.
-DEFAULT_BOOTSTRAP = 1000
+RESAMPLES = 1000
 
 #: Practical floor: relative median shifts below this are never regressions.
 DEFAULT_MIN_SHIFT = 0.02
 
-#: Default RNG seed — verdicts must be reproducible from the ledger alone.
-DEFAULT_SEED = 108
+#: Bootstrap RNG seed — verdicts must be reproducible from the ledger alone.
+SEED = 108
 
 #: Minimum populations for a statistically meaningful verdict.
 MIN_BASELINE = 4
@@ -118,15 +119,14 @@ def bootstrap_shift_ci(
     baseline: Sequence[float],
     candidate: Sequence[float],
     *,
-    seed: int | str = DEFAULT_SEED,
-    resamples: int = DEFAULT_BOOTSTRAP,
-    confidence: float = 0.95,
+    seed: int | str = SEED,
 ) -> tuple[float, float]:
-    """Seeded bootstrap CI for the relative median shift candidate/baseline."""
+    """Seeded 95% bootstrap CI for the relative median shift
+    candidate/baseline."""
     rng = random.Random(f"sentinel:{seed}")
     n1, n2 = len(baseline), len(candidate)
     shifts = []
-    for _ in range(resamples):
+    for _ in range(RESAMPLES):
         base = sorted(baseline[rng.randrange(n1)] for _ in range(n1))
         cand = sorted(candidate[rng.randrange(n2)] for _ in range(n2))
         base_med = median(base)
@@ -136,7 +136,7 @@ def bootstrap_shift_ci(
     if not shifts:
         return 0.0, 0.0
     shifts.sort()
-    tail = (1.0 - confidence) / 2.0
+    tail = (1.0 - 0.95) / 2.0
     lo = shifts[max(0, int(math.floor(tail * len(shifts))))]
     hi = shifts[min(len(shifts) - 1, int(math.ceil((1.0 - tail) * len(shifts))) - 1)]
     return lo, hi
@@ -175,9 +175,6 @@ def _verdict_for(
     values: list[float],
     *,
     window: int,
-    alpha: float,
-    seed: int | str,
-    resamples: int,
     min_shift: float,
 ) -> dict:
     workload, config, metric = key
@@ -204,10 +201,7 @@ def _verdict_for(
     shift = (cand_med - base_med) / abs(base_med) if base_med else 0.0
     _, p = mann_whitney(baseline, candidate)
     lo, hi = bootstrap_shift_ci(
-        baseline,
-        candidate,
-        seed=f"{seed}:{workload}:{config}:{metric}",
-        resamples=resamples,
+        baseline, candidate, seed=f"{SEED}:{workload}:{config}:{metric}"
     )
     out.update(
         {
@@ -222,7 +216,7 @@ def _verdict_for(
             "direction": "up-is-bad" if direction > 0 else "up-is-good",
         }
     )
-    significant = p < alpha
+    significant = p < ALPHA
     ci_excludes_zero_bad = lo > 0.0 if direction > 0 else hi < 0.0
     bad = shift * direction > 0 and abs(shift) >= min_shift
     good = shift * direction < 0 and abs(shift) >= min_shift
@@ -238,9 +232,6 @@ def run_sentinel(
     *,
     kind: str = "bench",
     window: int = DEFAULT_WINDOW,
-    alpha: float = DEFAULT_ALPHA,
-    seed: int | str = DEFAULT_SEED,
-    resamples: int = DEFAULT_BOOTSTRAP,
     min_shift: float = DEFAULT_MIN_SHIFT,
 ) -> dict:
     """Change-point verdicts for every metric series in the ledger.
@@ -258,8 +249,8 @@ def run_sentinel(
         "schema": "sentinel/1",
         "kind": kind,
         "window": window,
-        "alpha": alpha,
-        "seed": seed,
+        "alpha": ALPHA,
+        "seed": SEED,
         "min_shift": min_shift,
         "entries": len(entries),
         "skipped_entries": 0,
@@ -275,15 +266,7 @@ def run_sentinel(
     payload["engine"] = engine
     payload["skipped_entries"] = len(entries) - len(kept)
     verdicts = [
-        _verdict_for(
-            key,
-            values,
-            window=window,
-            alpha=alpha,
-            seed=seed,
-            resamples=resamples,
-            min_shift=min_shift,
-        )
+        _verdict_for(key, values, window=window, min_shift=min_shift)
         for key, values in sorted(extract_series(kept).items())
     ]
     rank = {"regression": 0, "improvement": 1, "ok": 2}
@@ -310,56 +293,6 @@ def run_sentinel(
     ]
     payload["ok"] = not payload["regressions"]
     return payload
-
-
-def noise_thresholds(
-    history: str | list[dict],
-    *,
-    kind: str = "bench",
-    floor: float = 0.01,
-    seed: int | str = DEFAULT_SEED,
-    resamples: int = 500,
-    quantile: float = 0.95,
-    confidence: float = 0.95,
-) -> dict[str, float]:
-    """Per-summary-metric noise gates for ``repro diff --history``.
-
-    For each summary geomean series in the ledger, bootstrap the
-    ``quantile`` of the absolute run-to-run relative deltas and take the
-    upper ``confidence`` bound: a two-artifact diff then only flags a
-    metric when it moved more than that machine's own historical noise,
-    never less than ``floor``.  Seeded and deterministic, like the
-    sentinel itself.
-    """
-    entries = load_history(history, kind=kind) if isinstance(history, str) else [
-        entry for entry in history if entry.get("kind") == kind
-    ]
-    if not entries:
-        return {}
-    engine = entries[-1].get("meta", {}).get("engine")
-    kept = [entry for entry in entries if entry.get("meta", {}).get("engine") == engine]
-    out: dict[str, float] = {}
-    for (workload, config, metric), values in sorted(extract_series(kept).items()):
-        if workload != "summary" or config != "geomean" or len(values) < 4:
-            continue
-        deltas = [
-            abs((values[i + 1] - values[i]) / values[i])
-            for i in range(len(values) - 1)
-            if values[i]
-        ]
-        if not deltas:
-            continue
-        rng = random.Random(f"noise:{seed}:{metric}")
-        stats = []
-        for _ in range(resamples):
-            sample = sorted(
-                deltas[rng.randrange(len(deltas))] for _ in range(len(deltas))
-            )
-            stats.append(sample[min(len(sample) - 1, int(quantile * len(sample)))])
-        stats.sort()
-        upper = stats[min(len(stats) - 1, int(confidence * len(stats)))]
-        out[metric] = max(floor, round(upper, 4))
-    return out
 
 
 def render_sentinel(payload: dict) -> str:

@@ -38,8 +38,8 @@ class ShardJournal:
         self._acked: dict[int, int] = {}
         self._sink = sink
         self.duplicates_dropped = 0
-        #: Lines a :meth:`load` rejected as malformed (counted, skipped —
-        #: a half-written mirror line must not poison the whole journal).
+        #: Mirror lines a :meth:`load` did not load: the first malformed
+        #: line and every line after it.
         self.load_errors = 0
 
     def __len__(self) -> int:
@@ -96,16 +96,19 @@ class ShardJournal:
     def load(cls, shard_id: int, source: IO[str]) -> "ShardJournal":
         """Rebuild a journal from its JSON-lines mirror.
 
-        A malformed line (truncated JSON from a crash mid-write, or a
-        record missing its fields) is **counted and skipped**, never
-        silently absorbed and never fatal: the journal that loads is the
-        longest well-formed prefix semantics allow, and
-        :attr:`load_errors` reports exactly how much was lost.
+        Loading stops at the first malformed line (truncated JSON from a
+        crash mid-write, or a record missing its fields), never fatally:
+        the journal that loads is the longest well-formed prefix, so it
+        has no hole in ``(client, seq)`` order, and :attr:`load_errors`
+        counts every non-blank line that was not loaded.
         """
         journal = cls(shard_id)
         for line in source:
             line = line.strip()
             if not line:
+                continue
+            if journal.load_errors:
+                journal.load_errors += 1
                 continue
             try:
                 entry = json.loads(line)

@@ -22,16 +22,7 @@ from typing import Callable, Iterable
 
 from ..core.detector import Arbalest
 from ..events.bus import ToolBus
-from ..events.records import (
-    Access,
-    AllocationEvent,
-    DataOp,
-    DataOpKind,
-    FlushEvent,
-    KernelEvent,
-    MemcpyEvent,
-    SyncEvent,
-)
+from ..events.records import AllocationEvent, DataOp, DataOpKind
 from ..events.trace_io import event_from_json
 from ..forensics.recorder import FlightRecorder
 from ..observe import core as _obs
@@ -185,15 +176,7 @@ class ShardWorker:
             tool = DEFAULT_TOOLS[name]()
             self.bus.attach(tool)
             self.tools[name] = tool
-        self._dispatch = {
-            Access: self.bus.publish_access,
-            DataOp: self.bus.publish_data_op,
-            MemcpyEvent: self.bus.publish_memcpy,
-            KernelEvent: self.bus.publish_kernel,
-            AllocationEvent: self.bus.publish_allocation,
-            SyncEvent: self.bus.publish_sync,
-            FlushEvent: self.bus.publish_flush,
-        }
+        self._dispatch = self.bus.publishers()
         self.alive = True
 
     def crash(self) -> None:

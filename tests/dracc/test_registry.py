@@ -4,6 +4,7 @@ import pytest
 
 from repro.dracc import (
     EXPECTED_EFFECT,
+    SUITES,
     TABLE3_BO,
     TABLE3_BUGGY,
     TABLE3_USD,
@@ -13,6 +14,7 @@ from repro.dracc import (
     buggy_benchmarks,
     clean_benchmarks,
     get,
+    suite,
 )
 
 
@@ -46,6 +48,14 @@ class TestCompleteness:
     def test_names_follow_dracc_convention(self):
         assert get(22).name == "DRACC_OMP_022"
         assert get(5).name == "DRACC_OMP_005"
+
+    def test_suite_selector(self):
+        assert SUITES == ("buggy", "clean", "all")
+        assert suite("buggy") == buggy_benchmarks()
+        assert suite("clean") == clean_benchmarks()
+        assert suite("all") == all_benchmarks()
+        with pytest.raises(ValueError, match="valid choices: buggy, clean, all"):
+            suite("nope")
 
     def test_descriptions_nonempty(self):
         for b in all_benchmarks():

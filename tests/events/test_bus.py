@@ -48,6 +48,17 @@ class TestDispatch:
         # No cross-delivery: the sync tool saw no access and vice versa.
         assert all(isinstance(e, SyncEvent) for e in s.seen)
 
+    def test_publishers_route_each_event_type(self):
+        bus = ToolBus()
+        a, s = AccessOnly(), SyncOnly()
+        bus.attach(a)
+        bus.attach(s)
+        publish = bus.publishers()
+        assert len(publish) == 7
+        for event in (make_access(), SyncEvent("fork", 0, 1)):
+            publish[type(event)](event)
+        assert len(a.seen) == 1 and len(s.seen) == 1
+
     def test_wants_accesses_tracks_subscribers(self):
         bus = ToolBus()
         s = SyncOnly()

@@ -4,12 +4,8 @@ import json
 
 import pytest
 
-from repro.dracc import get
-from repro.harness.chaos import (
-    CHAOS_SUITES,
-    run_chaos,
-    run_chaos_campaign,
-)
+from repro.dracc import SUITES, get
+from repro.harness.chaos import run_chaos, run_chaos_campaign
 
 # A small cross-section: one benchmark per effect class plus a clean one,
 # enough schedules to trigger every fault kind without running all 56.
@@ -69,9 +65,9 @@ class TestReproducibility:
 
 class TestOutput:
     def test_unknown_suite_rejected(self):
-        with pytest.raises(ValueError, match="all, buggy, clean"):
+        with pytest.raises(ValueError, match="buggy, clean, all"):
             run_chaos_campaign(suite="bogus")
-        assert CHAOS_SUITES == ("all", "buggy", "clean")
+        assert SUITES == ("buggy", "clean", "all")
 
     def test_run_chaos_writes_report(self, tmp_path):
         out = tmp_path / "chaos.json"

@@ -132,8 +132,10 @@ class TestBenchPayload:
 class TestRunBench:
     def test_writes_tracked_json(self, tmp_path):
         out = tmp_path / "BENCH_fig8.json"
-        payload = run_bench(preset="test", repetitions=1, output=str(out))
+        result, payload = run_bench(preset="test", repetitions=1, output=str(out))
+        assert result.preset == "test"
         assert out.exists()
         on_disk = json.loads(out.read_text())
         assert on_disk == payload
         assert on_disk["preset"] == "test"
+        assert on_disk["engine"] == on_disk["meta"]["engine"] == "columnar"

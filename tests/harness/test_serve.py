@@ -82,14 +82,17 @@ class TestServeBench:
         on_disk = json.loads(out.read_text())
         assert on_disk == payload
 
-    def test_bench_artifact_diffs_against_itself_clean(self, tmp_path):
+    def test_bench_artifact_is_ledgered_for_the_sentinel(self, tmp_path):
         from repro.forensics.diff import diff_artifacts
+        from repro.observe.history import load_history
 
         out = tmp_path / "BENCH_serve.json"
-        run_serve_bench(benchmarks=SUBSET, output=str(out))
-        d = diff_artifacts(str(out), str(out))
-        assert d["type"] == "serve-bench"
-        assert not d["regression"]
+        ledger = tmp_path / "ledger.jsonl"
+        run_serve_bench(benchmarks=SUBSET, output=str(out), history=str(ledger))
+        (entry,) = load_history(str(ledger), kind="serve-bench")
+        assert entry["metrics"]["delivery_ok"]
+        with pytest.raises(ValueError, match="repro sentinel"):
+            diff_artifacts(str(out), str(out))
 
 
 class TestServeChaos:

@@ -1,4 +1,4 @@
-"""The bench-history ledger: append, validate, migrate."""
+"""The bench-history ledger: classify, append, validate."""
 
 import json
 
@@ -12,7 +12,6 @@ from repro.observe.history import (
     history_entry,
     load_history,
     run_meta,
-    seed_history,
 )
 
 
@@ -99,18 +98,3 @@ class TestLedger:
         path.write_text(json.dumps({"schema": "other/9"}) + "\n")
         with pytest.raises(ValueError, match="schema"):
             load_history(str(path))
-
-    def test_seed_migrates_pre_ledger_artifacts(self, tmp_path):
-        artifact = tmp_path / "BENCH_fig8.json"
-        payload = _bench_payload()
-        del payload["meta"]  # pre-ledger artifact: no meta block
-        artifact.write_text(json.dumps(payload))
-        junk = tmp_path / "junk.json"
-        junk.write_text("{}")
-        path = str(tmp_path / "ledger.jsonl")
-        appended = seed_history(path, [str(artifact), str(junk), "missing.json"])
-        assert appended == 1
-        (entry,) = load_history(path)
-        assert entry["meta"]["seeded"] is True
-        assert entry["meta"]["source"] == "BENCH_fig8.json"
-        assert entry["meta"]["reps"] == 1  # repetitions -> reps

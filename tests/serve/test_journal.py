@@ -68,3 +68,15 @@ class TestMirror:
         loaded = ShardJournal.load(3, sink)
         assert list(loaded.replay()) == list(journal.replay())
         assert loaded.stats()["entries"] == 2
+
+    def test_load_stops_at_a_corrupt_middle_line(self):
+        sink = io.StringIO()
+        journal = ShardJournal(0, sink=sink)
+        for seq in range(4):
+            journal.record(1, seq, {**EVENT, "src": seq})
+        lines = sink.getvalue().splitlines()
+        lines[1] = lines[1][: len(lines[1]) // 2]  # torn mid-write
+        loaded = ShardJournal.load(0, io.StringIO("\n".join(lines) + "\n"))
+        # The well-formed prefix only: seq 2 and 3 would leave a hole at 1.
+        assert [seq for _c, seq, _e in loaded.replay()] == [0]
+        assert loaded.load_errors == 3

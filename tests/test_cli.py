@@ -14,9 +14,7 @@ class TestParser:
         parser = build_parser()
         for cmd in (
             "table3",
-            "fig8",
             "bench",
-            "fig9",
             "casestudy",
             "ompsan",
             "lint",
@@ -39,8 +37,24 @@ class TestParser:
 
     def test_preset_validation(self):
         with pytest.raises(SystemExit) as exc_info:
-            build_parser().parse_args(["fig8", "--preset", "huge"])
+            build_parser().parse_args(["bench", "--preset", "huge"])
         assert exc_info.value.code == 2
+
+    def test_folded_commands_and_options_are_gone(self, capsys):
+        for argv in (
+            ["fig8"],
+            ["fig9"],
+            ["bench", "--engine", "columnar"],
+            ["diff", "a.json", "b.json", "--threshold", "0.2"],
+            ["diff", "a.json", "b.json", "--history", "h.jsonl"],
+            ["sentinel", "--alpha", "0.01"],
+            ["sentinel", "--seed", "1"],
+            ["sentinel", "--resamples", "10"],
+            ["sentinel", "--seed-from", "BENCH_fig8.json"],
+        ):
+            with pytest.raises(SystemExit) as exc_info:
+                build_parser().parse_args(argv)
+            assert exc_info.value.code == 2, argv
 
     def test_chaos_defaults(self):
         args = build_parser().parse_args(["chaos"])
@@ -195,7 +209,7 @@ class TestCommands:
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert "unknown suite 'bogus'" in err
-        assert "all, buggy, clean" in err
+        assert "buggy, clean, all" in err
 
     def test_serve_unknown_suite_exits_2_with_one_line(self, capsys):
         assert main(["serve", "--suite", "bogus"]) == 2
@@ -209,6 +223,41 @@ class TestCommands:
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert "unknown tool(s) ghidra" in err
+
+    @pytest.mark.parametrize(
+        "delivery_ok, burning, code",
+        [(True, [], 0), (True, ["redelivery-rate"], 1), (False, [], 1)],
+        ids=["ok", "slo-burning", "undelivered"],
+    )
+    def test_serve_bench_exit_status(
+        self, capsys, monkeypatch, tmp_path, delivery_ok, burning, code
+    ):
+        import repro.harness
+
+        def fake_bench(**kwargs):
+            return {
+                "suite": "buggy",
+                "engine": "columnar",
+                "n_shards": 4,
+                "events": 10,
+                "frames": 2,
+                "delivery_ok": delivery_ok,
+                "summary": {
+                    "events_per_sec": 1.0,
+                    "p50_frame_latency_us": 1.0,
+                    "p99_frame_latency_us": 1.0,
+                },
+                "observability": {
+                    "enabled": True,
+                    "watchdog": {"burning": burning},
+                },
+            }
+
+        monkeypatch.setattr(repro.harness, "run_serve_bench", fake_bench)
+        argv = ["serve", "--bench", "--no-history"]
+        assert main(argv + ["--output", str(tmp_path / "s.json")]) == code
+        out = capsys.readouterr().out
+        assert ("SLO watchdog still burning" in out) == bool(burning)
 
     def test_chaos_campaign(self, capsys, tmp_path):
         import json
@@ -247,10 +296,13 @@ class TestCommands:
             ["bench", "--preset", "test", "--reps", "1", "--output", str(out_file)]
         ) == 0
         out = capsys.readouterr().out
+        assert "Fig 8: time overhead" in out and "-- pcg (" in out
+        assert "Fig 9: memory usage" in out
         assert "arbalest slowdown" in out
         assert "checksums consistent across configs: yes" in out
         payload = json.loads(out_file.read_text())
         assert payload["preset"] == "test"
+        assert payload["engine"] == "columnar"
         assert "pcg" in payload["workloads"]
         assert "telemetry" not in payload
 
@@ -462,24 +514,23 @@ class TestDiffCommand:
         assert err.count("\n") == 1
         assert "repro diff: error" in err
 
-    def test_bench_threshold_gate(self, capsys, tmp_path):
+    def test_timed_artifacts_exit_2_naming_the_sentinel(self, capsys, tmp_path):
         import json
 
-        old_payload = {
+        bench = {
             "workloads": {"pcg": {"arbalest": {"slowdown": 2.0}}},
             "summary": {"arbalest_slowdown_geomean": 2.0},
         }
-        new_payload = json.loads(json.dumps(old_payload))
-        new_payload["summary"]["arbalest_slowdown_geomean"] = 2.3
-        old = tmp_path / "old.json"
-        new = tmp_path / "new.json"
-        old.write_text(json.dumps(old_payload, indent=2))
-        new.write_text(json.dumps(new_payload, indent=2))
-        assert main(["diff", str(old), str(new)]) == 1
-        assert "REGRESSION" in capsys.readouterr().out
-        assert main(
-            ["diff", str(old), str(new), "--threshold", "0.2"]
-        ) == 0
+        serve_bench = {"artifact": "serve-bench/1", "summary": {}}
+        for name, payload in (("bench", bench), ("serve", serve_bench)):
+            old = tmp_path / f"{name}_old.json"
+            new = tmp_path / f"{name}_new.json"
+            old.write_text(json.dumps(payload))
+            new.write_text(json.dumps(payload))
+            assert main(["diff", str(old), str(new)]) == 2
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1
+            assert "repro sentinel" in err
 
 
 class TestSentinelCommand:
@@ -538,25 +589,3 @@ class TestSentinelCommand:
         assert main(["sentinel", "--history", missing]) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1
-
-    def test_seed_from_migrates_artifacts_first(self, capsys, tmp_path):
-        import json
-
-        artifact = tmp_path / "BENCH_fig8.json"
-        artifact.write_text(
-            json.dumps(
-                {
-                    "engine": "scalar",
-                    "workloads": {"pcg": {"arbalest": {"slowdown": 2.0}}},
-                    "summary": {"arbalest_slowdown_geomean": 2.0},
-                }
-            )
-        )
-        ledger = str(tmp_path / "ledger.jsonl")
-        assert main(
-            ["sentinel", "--history", ledger, "--seed-from", str(artifact)]
-        ) == 0
-        from repro.observe.history import load_history
-
-        (entry,) = load_history(ledger)
-        assert entry["meta"]["seeded"] is True
