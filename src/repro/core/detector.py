@@ -586,13 +586,13 @@ class Arbalest(Tool):
                         found.append((p_abs, 0, accesses[p_abs], bool(uninit[h])))
                 for r in remainder.tolist():
                     p_abs = int(sel[r])
-                    access = accesses[p_abs]
-                    op = VsmOp.WRITE_TARGET if access.is_write else VsmOp.READ_TARGET
+                    write = bool(is_write[p_abs])
+                    op = VsmOp.WRITE_TARGET if write else VsmOp.READ_TARGET
                     ill, uni = block.apply_scalar(
                         int(gran[p_abs]), op, recs[int(ri[p_abs])].device_id
                     )
-                    if ill and not access.is_write:
-                        found.append((p_abs, 0, access, bool(uni)))
+                    if ill and not write:
+                        found.append((p_abs, 0, accesses[p_abs], bool(uni)))
         if self.race_engine is not None:
             race_pos = seg[c != 1]  # cat 2 and 3: everything not cert-skipped
             if len(race_pos):

@@ -10,6 +10,17 @@ corresponding handler, so that
 * an instrumented run pays only for the handlers a tool really implements
   (the paper's OMPT-less tools never see semantic data ops).
 
+Program accesses enter through one producer call, :meth:`ToolBus.record_access`.
+A scalar bus turns it into an :class:`Access` (with a lazy stack provider)
+and dispatches it at once; a columnar bus appends a plain row with the
+stack pinned, and builds ``Access`` objects only when a flush needs them —
+every row for a flush below :data:`~repro.events.columnar.MIN_BATCH`
+(handed straight to the scalar handlers, no batch built), and only the rows
+a tool indexes for a larger :class:`~repro.events.columnar.EventBatch`.
+:meth:`ToolBus.publish_access` takes an already-built ``Access`` (trace
+replays, serve shards); on a columnar bus it joins the same pending list
+and reaches the tools as that same object.
+
 Two robustness roles ride on top of dispatch:
 
 * **Crash isolation** — an exception escaping a tool handler is contained
@@ -38,9 +49,10 @@ from typing import TYPE_CHECKING, Callable
 
 from ..observe import core as _obs
 
-from .columnar import BATCH_CAP, MIN_BATCH, EventBatch
+from .columnar import BATCH_CAP, MIN_BATCH, EventBatch, Row, materialize
 from .records import (
     Access,
+    AccessOrigin,
     AllocationEvent,
     DataOp,
     FlushEvent,
@@ -85,7 +97,7 @@ class ToolBus:
             )
         self.engine = engine
         self._columnar = engine == "columnar"
-        self._batch_pending: list[Access] = []
+        self._batch_pending: list[Row] = []
         self._tools: list["Tool"] = []
         self._access: tuple["Tool", ...] = ()
         self._data_op: tuple["Tool", ...] = ()
@@ -230,7 +242,52 @@ class ToolBus:
                 except Exception as exc:
                     self._tool_error(tool, handler, exc)
 
+    def record_access(
+        self,
+        device_id: int,
+        thread_id: int,
+        address: int,
+        size: int,
+        is_write: bool,
+        count: int,
+        stride: int,
+        origin: AccessOrigin,
+        source,
+    ) -> None:
+        """A program access, from its producer (``source`` is a SourceStack).
+
+        The scalar engine publishes an :class:`Access` whose stack is
+        captured lazily; the columnar engine parks a row whose stack is
+        pinned now — the batch is dispatched after the producing frame has
+        moved on.
+        """
+        if self._columnar:
+            pending = self._batch_pending
+            pending.append(
+                (
+                    device_id,
+                    thread_id,
+                    address,
+                    size,
+                    is_write,
+                    count,
+                    stride,
+                    origin,
+                    source.snapshot(),
+                )
+            )
+            if len(pending) >= BATCH_CAP:
+                self.flush_batch()
+            return
+        self.publish_access(
+            Access(
+                device_id, thread_id, address, size, is_write, count, stride,
+                origin, source,
+            )
+        )
+
     def publish_access(self, access: Access) -> None:
+        """An already-built access (trace replays, serve shards)."""
         if self._columnar:
             # Pin the call stack now: the lazy provider only stays valid
             # while the producing frame is live, and batch dispatch happens
@@ -267,31 +324,42 @@ class ToolBus:
         if not pending:
             return
         self._batch_pending = []
+        if len(pending) < MIN_BATCH:
+            # Bulk-kernel traffic: a few large accesses per window.  The
+            # vectorized setup cost dwarfs per-event dispatch here, so hand
+            # the run to the scalar handlers (semantically identical)
+            # without building a batch.
+            batch = None
+            accesses = materialize(pending)
+        else:
+            batch = EventBatch(pending)
+            accesses = batch.accesses
         obs = _obs.ACTIVE
         if obs is not None:
             if obs.profiler is not None:
                 # Same sampling countdown as the scalar path: each access
                 # advances it by its element count, so sample positions
                 # match across engines.
-                obs.profiler.batch_events(pending, self._access)
+                counts = (
+                    [a.count for a in accesses]
+                    if batch is None
+                    else batch.columns.counts.tolist()
+                )
+                obs.profiler.batch_events(counts, accesses, self._access)
             metrics = obs.metrics
             if metrics is not None:
                 metrics.count("bus.batches")
                 metrics.count("bus.events.on_access", len(pending))
                 metrics.count("bus.access_fanout", len(pending) * len(self._access))
-        if len(pending) < MIN_BATCH:
-            # Bulk-kernel traffic: a few large accesses per window.  The
-            # vectorized setup cost dwarfs per-event dispatch here, so hand
-            # the run to the scalar handlers (semantically identical).
+        if batch is None:
             for tool in self._access:
                 on_access = tool.on_access
-                for access in pending:
+                for access in accesses:
                     try:
                         on_access(access)
                     except Exception as exc:
                         self._tool_error(tool, "on_access", exc)
             return
-        batch = EventBatch(pending)
         for tool in self._access:
             try:
                 tool.on_batch(batch)

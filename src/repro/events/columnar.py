@@ -3,11 +3,17 @@
 The scalar engine hands every :class:`~repro.events.records.Access` to every
 subscribed tool one Python call at a time; for element-wise kernels that is
 one interpreter round-trip *per element per tool*.  The columnar engine
-instead parks accesses on the bus and flushes them as an :class:`EventBatch`
-— a list of the original records plus lazily-built structured numpy columns
-``(op, address, size, device, thread, source_id)`` — through the tools'
-``on_batch`` protocol, so the VSM table lookups and FastTrack epoch
-comparisons in the hot path run as whole-array gather/scatter.
+instead parks accesses on the bus as plain *rows* — tuples in
+:class:`~repro.events.records.Access` field order, recorded at the source
+with the call stack already pinned — and flushes them as an
+:class:`EventBatch` through the tools' ``on_batch`` protocol.  The batch
+builds numpy columns ``(device, thread, address, size, is_write, count,
+stride)`` from the rows in one transpose, so the VSM table lookups and
+FastTrack epoch comparisons in the hot path run as whole-array
+gather/scatter, and it creates an ``Access`` object only for a row a tool
+actually indexes (a scalar replay, a finding).  Accesses that arrived as
+objects (trace replays, serve shards) ride in the same pending list and are
+handed back as those very objects.
 
 Ordering contract (see EXPERIMENTS.md §N): a batch only ever spans a window
 in which mappings, shadow blocks, and thread clocks are frozen, because the
@@ -19,12 +25,12 @@ processing batches in first-occurrence passes (:func:`first_occurrence_passes`).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Sequence
+from collections.abc import Sequence
+from typing import Union
 
 import numpy as np
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from .records import Access
+from .records import Access
 
 #: Flush threshold: bounds both memory held by a pending batch and the
 #: latency between an access occurring and a tool observing it.
@@ -38,6 +44,30 @@ BATCH_CAP = 65536
 #: is pure overhead.
 MIN_BATCH = 64
 
+#: One pending access: a tuple in :class:`Access` field order (what
+#: producers record) or an :class:`Access` published as an object.
+Row = Union[tuple, Access]
+
+
+def access_row(access: Access) -> tuple:
+    """``access`` as a row, its stack materialized."""
+    return (
+        access.device_id,
+        access.thread_id,
+        access.address,
+        access.size,
+        access.is_write,
+        access.count,
+        access.stride,
+        access.origin,
+        access.stack,
+    )
+
+
+def materialize(rows: Sequence[Row]) -> list[Access]:
+    """Every row as an :class:`Access`; objects pass through unchanged."""
+    return [Access(*r) if type(r) is tuple else r for r in rows]
+
 
 class BatchColumns:
     """The structured-array view of one batch (one numpy column per field)."""
@@ -50,65 +80,69 @@ class BatchColumns:
         "is_write",
         "counts",
         "strides",
-        "op_codes",
-        "source_ids",
     )
 
-    def __init__(self, accesses: Sequence["Access"]):
-        n = len(accesses)
-        self.device_ids = np.fromiter(
-            (a.device_id for a in accesses), np.int64, count=n
-        )
-        self.thread_ids = np.fromiter(
-            (a.thread_id for a in accesses), np.int64, count=n
-        )
-        self.addresses = np.fromiter(
-            (a.address for a in accesses), np.int64, count=n
-        )
-        self.sizes = np.fromiter((a.size for a in accesses), np.int64, count=n)
-        self.is_write = np.fromiter(
-            (a.is_write for a in accesses), np.bool_, count=n
-        )
-        self.counts = np.fromiter((a.count for a in accesses), np.int64, count=n)
-        self.strides = np.fromiter(
-            (a.stride for a in accesses), np.int64, count=n
-        )
-        # VsmOp encoding of the access: (is_write << 1) | on_device, i.e.
-        # READ_HOST=0 / READ_TARGET=1 / WRITE_HOST=2 / WRITE_TARGET=3.
-        self.op_codes = (
-            (self.is_write.astype(np.int64) << 1)
-            | (self.device_ids != 0).astype(np.int64)
-        )
-        # Interned call stacks: events sharing a capture site share an id.
-        interned: dict[int, int] = {}
-        ids = np.empty(n, dtype=np.int64)
-        for i, a in enumerate(accesses):
-            stack = a.stack  # materialized at append time; see ToolBus
-            sid = interned.get(id(stack))
-            if sid is None:
-                sid = len(interned)
-                interned[id(stack)] = sid
-            ids[i] = sid
-        self.source_ids = ids
+    def __init__(self, rows: Sequence[Row]):
+        n = len(rows)
+        try:
+            fields = list(zip(*rows))
+        except TypeError:  # some rows were published as Access objects
+            fields = list(zip(*[r if type(r) is tuple else access_row(r) for r in rows]))
+        dev, tid, addr, size, write, count, stride = fields[:7] if n else [()] * 7
+        self.device_ids = np.fromiter(dev, np.int64, count=n)
+        self.thread_ids = np.fromiter(tid, np.int64, count=n)
+        self.addresses = np.fromiter(addr, np.int64, count=n)
+        self.sizes = np.fromiter(size, np.int64, count=n)
+        self.is_write = np.fromiter(write, np.bool_, count=n)
+        self.counts = np.fromiter(count, np.int64, count=n)
+        self.strides = np.fromiter(stride, np.int64, count=n)
+
+
+class BatchAccesses(Sequence):
+    """The batch's rows as :class:`Access` objects, each built on first index.
+
+    A built object replaces its row in place, so repeated indexing returns
+    the same object; an access published as an object is returned as is.
+    Only integer indices are supported.
+    """
+
+    __slots__ = ("_rows",)
+
+    def __init__(self, rows: list[Row]):
+        self._rows = rows
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def __getitem__(self, index: int) -> Access:
+        row = self._rows[index]
+        if type(row) is tuple:
+            row = self._rows[index] = Access(*row)
+        return row
+
+    def __iter__(self):
+        for i in range(len(self._rows)):
+            yield self[i]
 
 
 class EventBatch:
-    """An ordered run of accesses plus their lazily-built columns."""
+    """An ordered run of pending rows: lazy accesses plus lazy columns."""
 
-    __slots__ = ("accesses", "_columns")
+    __slots__ = ("accesses", "_rows", "_columns")
 
-    def __init__(self, accesses: Sequence["Access"]):
-        self.accesses = list(accesses)
+    def __init__(self, rows: Sequence[Row]):
+        self._rows = rows = list(rows)
+        self.accesses = BatchAccesses(rows)
         self._columns: BatchColumns | None = None
 
     def __len__(self) -> int:
-        return len(self.accesses)
+        return len(self._rows)
 
     @property
     def columns(self) -> BatchColumns:
         cols = self._columns
         if cols is None:
-            cols = self._columns = BatchColumns(self.accesses)
+            cols = self._columns = BatchColumns(self._rows)
         return cols
 
 

@@ -47,14 +47,17 @@ class Access:
     consecutive element starts ``stride`` bytes apart.  A scalar access is
     ``count == 1``; a contiguous slice is ``stride == size``.
 
-    ``stack`` is a *deferred* capture: producers may pass either a
+    ``stack`` is a *deferred* capture: ``stack_ref`` holds either a
     materialized frame tuple or any object with a ``snapshot()`` method
     (a :class:`~repro.events.source.SourceStack`).  The tuple is built only
     when :attr:`stack` is first read — for the overwhelming majority of
     accesses no tool ever files a finding, so the capture never happens.
     The provider form is only valid while the event is being dispatched;
     tools that retain events past their turn (trace recorders) must touch
-    :attr:`stack` during the callback.
+    :attr:`stack` during the callback.  Only the scalar engine builds
+    accesses with a provider: the columnar engine pins the tuple when the
+    access is recorded, and builds the ``Access`` itself only if a tool
+    indexes it (see :mod:`repro.events.columnar`).
     """
 
     device_id: int
@@ -80,16 +83,6 @@ class Access:
     @property
     def element_stride(self) -> int:
         return self.stride or self.size
-
-    @property
-    def op_code(self) -> int:
-        """The access as a :class:`~repro.core.states.VsmOp` value.
-
-        ``(is_write << 1) | on_device`` lands exactly on READ_HOST (0),
-        READ_TARGET (1), WRITE_HOST (2), WRITE_TARGET (3) — the row index
-        the columnar engine uses into the precomputed transition matrix.
-        """
-        return (int(self.is_write) << 1) | (self.device_id != 0)
 
     @property
     def nbytes(self) -> int:

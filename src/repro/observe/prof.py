@@ -216,23 +216,30 @@ class Profiler:
         self._sample(access, tools, self._reset - self._countdown)
         self._reset = self._countdown = self.stride
 
-    def batch_events(self, accesses: Sequence["Access"], tools: Sequence["Tool"]) -> None:
-        """Advance the countdown by the batch's elements (columnar engine).
+    def batch_events(
+        self,
+        counts: Sequence[int],
+        accesses: Sequence["Access"],
+        tools: Sequence["Tool"],
+    ) -> None:
+        """Advance the countdown by a batch's element ``counts`` (columnar engine).
 
+        ``counts[i]`` is ``accesses[i].count``; only the accesses sampled
+        are indexed, so a lazy batch builds no other :class:`Access`.
         Samples land on exactly the accesses the scalar countdown would
         have picked, including governor stride changes mid-batch.
         """
-        total = sum(access.count for access in accesses)
+        total = sum(counts)
         self.events += total
         if total < self._countdown:
             self._countdown -= total
             return
         countdown = self._countdown
         reset = self._reset
-        for access in accesses:
-            countdown -= access.count
+        for i, count in enumerate(counts):
+            countdown -= count
             if countdown <= 0:
-                self._sample(access, tools, reset - countdown)
+                self._sample(accesses[i], tools, reset - countdown)
                 reset = countdown = self.stride
         self._countdown = countdown
         self._reset = reset

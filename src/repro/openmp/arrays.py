@@ -3,9 +3,11 @@
 :class:`HostArray` is the host program's view of one variable (C-style flat
 array); :class:`KernelArray` is the device-side view a compute kernel gets
 for each mapped variable.  Both translate element indices to absolute
-simulated addresses, publish an :class:`~repro.events.records.Access` for
-every operation when any tool is listening, and then perform the operation
-on the raw storage.
+simulated addresses, publish an access for every operation that touches
+memory when any tool is listening, and then perform the operation on the
+raw storage.  Publishing is one :meth:`~repro.events.bus.ToolBus.record_access`
+call: the bus decides whether the access becomes an
+:class:`~repro.events.records.Access` object or a pending batch row.
 
 Design points:
 
@@ -29,7 +31,7 @@ from typing import TYPE_CHECKING, Union
 
 import numpy as np
 
-from ..events.records import Access, AccessOrigin
+from ..events.records import AccessOrigin
 from ..memory.buffer import RawBuffer
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -78,22 +80,20 @@ class _ArrayView:
     def _publish(self, element: int, count: int, step: int, is_write: bool) -> None:
         machine = self.machine
         bus = machine.bus
-        if not bus.wants_accesses:
+        # An empty slice touches no memory, so it is no event.
+        if not bus.wants_accesses or not count:
             return
-        bus.publish_access(
-            Access(
-                device_id=self._event_device_id(),
-                thread_id=machine.current_thread,
-                address=self._address(element),
-                size=self.itemsize,
-                is_write=is_write,
-                count=count,
-                stride=step * self.itemsize,
-                origin=AccessOrigin.PROGRAM,
-                # Deferred capture: the tuple is built only if a tool files
-                # a finding (or a recorder retains the event).
-                stack_ref=machine.source,
-            )
+        size = self.itemsize
+        bus.record_access(
+            self._event_device_id(),
+            machine.current_thread,
+            self._address(element),
+            size,
+            is_write,
+            count,
+            step * size,
+            AccessOrigin.PROGRAM,
+            machine.source,
         )
 
     # -- raw data movement --------------------------------------------------

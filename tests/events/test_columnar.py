@@ -3,15 +3,26 @@
 import numpy as np
 import pytest
 
-from repro.events import Access, DataOp, DataOpKind, SyncEvent, ToolBus
+from repro.core import Arbalest
+from repro.events import (
+    Access,
+    AccessOrigin,
+    DataOp,
+    DataOpKind,
+    SourceLocation,
+    SourceStack,
+    SyncEvent,
+    ToolBus,
+)
+from repro.events import bus as bus_module
 from repro.events.columnar import (
     BATCH_CAP,
     MIN_BATCH,
-    BatchColumns,
     EventBatch,
     first_occurrence_passes,
 )
 from repro.memory import BASE_ADDRESS
+from repro.openmp import TargetRuntime, tofrom
 from repro.tools import Tool
 
 
@@ -188,30 +199,136 @@ class TestBatchColumns:
         assert cols.is_write.tolist() == [a.is_write for a in accesses]
         assert cols.sizes.tolist() == [a.size for a in accesses]
 
-    def test_op_codes_encode_write_and_device(self):
-        combos = [
-            (0, False, 0),  # READ_HOST
-            (1, False, 1),  # READ_TARGET
-            (0, True, 2),  # WRITE_HOST
-            (1, True, 3),  # WRITE_TARGET
-        ]
-        accesses = [
-            make_access(i, device_id=d, is_write=w) for i, (d, w, _) in enumerate(combos)
-        ]
-        cols = BatchColumns(accesses)
-        assert cols.op_codes.tolist() == [c[2] for c in combos]
-
-    def test_source_ids_intern_shared_stacks(self):
-        a = make_access(0)
-        b = make_access(1)
-        cols = BatchColumns([a, a, b])
-        assert cols.source_ids[0] == cols.source_ids[1]
-
     def test_columns_are_lazy_and_cached(self):
         batch = EventBatch([make_access()])
         assert batch._columns is None
         first = batch.columns
         assert batch.columns is first
+
+
+def record(bus, i=0, source=None, *, device_id=1):
+    """Record one program access the way an array view does."""
+    bus.record_access(
+        device_id, 0, BASE_ADDRESS + 8 * i, 8, False, 1, 8,
+        AccessOrigin.PROGRAM, source or SourceStack(),
+    )
+
+
+@pytest.fixture()
+def built(monkeypatch):
+    """Counts every Access object built while the test runs."""
+    counter = {"n": 0}
+    init = Access.__init__
+
+    def counting(self, *args, **kwargs):
+        counter["n"] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Access, "__init__", counting)
+    return counter
+
+
+class TestRowsAtTheSource:
+    """Recorded accesses stay rows until a handler or finding reads one."""
+
+    def test_vector_lanes_build_no_access_objects(self, built):
+        rt = TargetRuntime(n_devices=1, engine="columnar")
+        tool = Arbalest().attach(rt.machine)
+        sizes = []
+        on_batch = tool.on_batch
+
+        def spy(batch):
+            sizes.append(len(batch))
+            on_batch(batch)
+
+        tool.on_batch = spy
+        n = 2 * MIN_BATCH
+        a = rt.array("a", n)
+
+        def kernel(ctx):
+            view = ctx["a"]
+            for i in range(n):
+                view[i] = float(i)
+
+        rt.target(kernel, maps=[tofrom(a)], name="k")
+        rt.finalize()
+        assert sizes == [n]
+        assert not tool.findings
+        assert built["n"] == 0
+
+    def test_small_flush_builds_no_batch(self, monkeypatch, built):
+        def refuse(rows):
+            raise AssertionError("EventBatch built for a small flush")
+
+        monkeypatch.setattr(bus_module, "EventBatch", refuse)
+        bus = ToolBus(engine="columnar")
+        t = Recorder()
+        bus.attach(t)
+        for i in range(MIN_BATCH - 1):
+            record(bus, i)
+        bus.flush_batch()
+        assert [c[0] for c in t.calls] == ["access"] * (MIN_BATCH - 1)
+        assert built["n"] == MIN_BATCH - 1
+        assert not bus.errors
+
+    @pytest.mark.parametrize("n", [1, MIN_BATCH])
+    def test_stack_pinned_when_recorded(self, n):
+        bus = ToolBus(engine="columnar")
+        t = Recorder()
+        bus.attach(t)
+        source = SourceStack()
+        with source.at("outer.c", 1):
+            with source.at("kernel.c", 7, function="k"):
+                for i in range(n):
+                    record(bus, i, source)
+        bus.flush_batch()  # both frames have been popped by now
+        accesses = [a for kind, got in t.calls for a in (got if kind == "batch" else [got])]
+        assert len(accesses) == n
+        inner = SourceLocation("kernel.c", 7, function="k")
+        assert {a.stack[0] for a in accesses} == {inner}
+
+    @pytest.mark.parametrize("n", [1, MIN_BATCH])
+    def test_published_object_is_handed_on(self, n):
+        bus = ToolBus(engine="columnar")
+        seen = []
+
+        class Keeper(Tool):
+            name = "keeper"
+
+            def on_access(self, access):
+                seen.append(access)
+
+        bus.attach(Keeper())
+        sent = [make_access(i) for i in range(n)]
+        for a in sent:
+            bus.publish_access(a)
+        bus.flush_batch()
+        assert len(seen) == n
+        assert all(got is a for got, a in zip(seen, sent))
+
+    def test_mixed_rows_keep_order(self):
+        bus = ToolBus(engine="columnar")
+        t = Recorder()
+        bus.attach(t)
+        obj = make_access(5)
+        for i in range(MIN_BATCH):
+            if i == 5:
+                bus.publish_access(obj)
+            else:
+                record(bus, i)
+        bus.flush_batch()
+        (kind, got), = t.calls
+        assert kind == "batch"
+        assert got[5] is obj
+        assert [a.address for a in got] == [BASE_ADDRESS + 8 * i for i in range(MIN_BATCH)]
+
+    def test_lazy_accesses_build_once(self, built):
+        batch = EventBatch([(1, 0, BASE_ADDRESS, 8, True, 1, 8, AccessOrigin.PROGRAM, ())])
+        assert built["n"] == 0
+        first = batch.accesses[0]
+        assert batch.accesses[0] is first
+        assert built["n"] == 1
+        assert batch.columns.is_write.tolist() == [True]
 
 
 class TestFirstOccurrencePasses:

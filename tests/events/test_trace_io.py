@@ -1,6 +1,7 @@
 """Trace record/replay: round-trips and offline-analysis equivalence."""
 
 import io
+import warnings
 
 import pytest
 
@@ -29,7 +30,7 @@ from repro.events.trace_io import (
     read_trace,
     replay,
 )
-from repro.openmp import TargetRuntime
+from repro.openmp import TargetRuntime, tofrom
 from repro.tools import MsanTool, ValgrindTool
 
 STACK = (SourceLocation("main.c", 42, 5, "main"),)
@@ -260,6 +261,30 @@ class TestOfflineEquivalence:
         replay(events, [vg, msan])
         assert vg.mapping_issue_findings()
         assert not msan.mapping_issue_findings()
+
+    @pytest.mark.parametrize("engine", ["scalar", "columnar"])
+    def test_empty_slices_round_trip(self, engine):
+        rt = TargetRuntime(n_devices=1, engine=engine)
+        sink = io.StringIO()
+        TraceWriter(sink).attach(rt.machine)
+        a = rt.array("a", 8)
+        a.fill(1.0)
+        _ = a[3:3]
+        a[0:0] = 5.0
+
+        def kernel(ctx):
+            _ = ctx["a"][2:2]
+            ctx["a"][5:5] = 0.0
+
+        rt.target(kernel, maps=[tofrom(a)], name="k")
+        rt.finalize()
+        sink.seek(0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", TraceWarning)
+            events = list(read_trace(sink))
+        accesses = [e for e in events if isinstance(e, Access)]
+        # Only the fill touched memory; the four empty slices published nothing.
+        assert [a.count for a in accesses] == [8]
 
     def test_trace_is_plain_json_lines(self):
         rt = TargetRuntime(n_devices=1)

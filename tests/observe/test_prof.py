@@ -69,7 +69,8 @@ class TestOrdinalClock:
         i = 0
         while i < len(accesses):
             n = rng.randrange(1, 13)
-            batched.batch_events(accesses[i : i + n], TOOLS)
+            chunk = accesses[i : i + n]
+            batched.batch_events([a.count for a in chunk], chunk, TOOLS)
             i += n
         assert batched.events == scalar.events
         assert batched.samples == scalar.samples
@@ -77,7 +78,7 @@ class TestOrdinalClock:
 
     def test_empty_batch_is_a_no_op(self):
         p = Profiler(stride=4)
-        p.batch_events([], TOOLS)
+        p.batch_events([], [], TOOLS)
         assert p.events == 0 and p.samples == 0
 
     def test_stride_must_be_positive(self):
