@@ -4,7 +4,9 @@ The paper's amortized-O(1) claim rests on caching the latest interval
 lookup: kernels hammer one mapped array at a time, so consecutive device
 accesses resolve to the same mapping.  This ablation measures the lookup
 cost with the cache enabled vs forcibly disabled, on a CV-access-heavy
-kernel, and verifies the hit-rate mechanism directly.
+kernel, and verifies the hit-rate mechanism directly.  The cache serves
+per-access delivery, so these runs pin the scalar engine: a columnar flush
+of the sweep would take the detector's vectorized batch path instead.
 """
 
 import pytest
@@ -36,7 +38,7 @@ def test_lookup_cost(benchmark, cached):
     benchmark.group = "ablation-interval-cache"
 
     def run_once():
-        rt = TargetRuntime(n_devices=1)
+        rt = TargetRuntime(n_devices=1, engine="scalar")
         det = Arbalest(race_detection=False).attach(rt.machine)
         if not cached:
             det.mappings.disable_cache_for_ablation()
@@ -52,7 +54,7 @@ def test_cache_hit_rate_mechanism():
     """With the cache on, almost every device access is a cache hit —
     alternating between two arrays still hits because each bulk/scalar
     access re-checks the cached interval first."""
-    rt = TargetRuntime(n_devices=1)
+    rt = TargetRuntime(n_devices=1, engine="scalar")
     det = Arbalest(race_detection=False).attach(rt.machine)
     access_heavy_program(rt)
     rt.finalize()
@@ -60,7 +62,7 @@ def test_cache_hit_rate_mechanism():
     assert hits + misses > 2 * N
     assert hits / (hits + misses) > 0.5
 
-    rt2 = TargetRuntime(n_devices=1)
+    rt2 = TargetRuntime(n_devices=1, engine="scalar")
     det2 = Arbalest(race_detection=False).attach(rt2.machine)
     det2.mappings.disable_cache_for_ablation()
     access_heavy_program(rt2)

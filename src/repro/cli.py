@@ -311,7 +311,6 @@ def _cmd_chaos_serve(args: argparse.Namespace) -> int:
             faults_per_schedule=args.faults,
             suite=args.suite,
             n_shards=args.shards,
-            engine=args.engine,
             output=output,
             observe=not args.no_observe,
             trace_output=args.trace,
@@ -389,7 +388,6 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
             output=args.output or "BENCH_chaos.json",
             telemetry=args.telemetry,
             report=args.report,
-            engine=args.engine,
         )
     except OSError as exc:
         print(f"repro chaos: error: {exc}", file=sys.stderr)
@@ -466,7 +464,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
         config = ServerConfig(
             n_shards=args.shards,
-            engine=args.engine,
             tools=tools,
             queue_cap=args.queue_cap,
         )
@@ -521,7 +518,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             payload = run_serve_bench(
                 suite=args.suite,
                 n_shards=args.shards,
-                engine=args.engine,
                 tools=tools,
                 queue_cap=args.queue_cap,
                 output=output,
@@ -565,7 +561,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     payload = run_serve_suite(
         suite=args.suite,
         n_shards=args.shards,
-        engine=args.engine,
         tools=tools,
         queue_cap=args.queue_cap,
     )
@@ -704,7 +699,6 @@ def _cmd_report(args: argparse.Namespace) -> int:
         suite=args.suite,
         tools=tools,
         capacity=args.capacity,
-        engine=args.engine,
     )
     print(render_text(payload), end="")
     try:
@@ -909,12 +903,6 @@ def build_parser() -> argparse.ArgumentParser:
         "analysis server (worker kills + wire-frame faults)",
     )
     px.add_argument(
-        "--engine",
-        default="scalar",
-        choices=("scalar", "columnar"),
-        help="event dispatch engine (the guarantees must hold under both)",
-    )
-    px.add_argument(
         "--shards",
         type=int,
         default=4,
@@ -977,12 +965,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     ps.add_argument(
         "--shards", type=int, default=4, help="shard workers per session"
-    )
-    ps.add_argument(
-        "--engine",
-        default="columnar",
-        choices=("scalar", "columnar"),
-        help="per-shard event dispatch engine (default: columnar)",
     )
     ps.add_argument(
         "--queue-cap",
@@ -1113,12 +1095,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=64,
         help="per-variable flight-recorder ring capacity",
-    )
-    pr.add_argument(
-        "--engine",
-        default="scalar",
-        choices=("scalar", "columnar"),
-        help="event dispatch engine (findings must not depend on it)",
     )
     pr.add_argument("--output", default="report.jsonl")
     pr.add_argument(

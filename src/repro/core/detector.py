@@ -447,13 +447,12 @@ class Arbalest(Tool):
         FastTrack pass per segment; everything else — host events, bulk
         accesses, unified mappings, overflow suspects — replays through
         :meth:`on_access` *in place*, so findings land in the same order as
-        under the scalar engine.  Forensics and rich-metadata runs replay
-        wholesale: both sample per-event state around each transition.
+        under the scalar engine.  Rich-metadata runs replay wholesale: they
+        sample per-event state around each transition.  (Forensics runs
+        never get here: the bus delivers per access while recording.)
         """
         accesses = batch.accesses
-        obs = _obs.ACTIVE
-        recording = obs is not None and obs.recorder is not None
-        if recording or self.record_access_metadata:
+        if self.record_access_metadata:
             on_access = self.on_access
             for access in accesses:
                 on_access(access)

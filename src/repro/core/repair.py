@@ -18,9 +18,9 @@ event is published *before* the raw bytes are read, so a transfer performed
 inside the handler changes the value the program observes — the repaired
 run computes the result the programmer intended, and every intervention is
 logged as a :class:`RepairAction` carrying the equivalent directive the
-programmer should add.  That ordering only holds on a scalar bus: a
-batching (``columnar``) bus parks the access and delivers it after the
-read, so :meth:`RepairingArbalest.attach` refuses one.
+programmer should add.  That ordering needs immediate delivery, so the
+tool sets :attr:`~repro.tools.base.Tool.needs_immediate_access` and the bus
+stops batching accesses while it is attached.
 """
 
 from __future__ import annotations
@@ -73,20 +73,11 @@ class RepairingArbalest(Arbalest):
     """
 
     name = "arbalest-repair"
+    needs_immediate_access = True
 
     def __init__(self, **kwargs) -> None:
         super().__init__(**kwargs)
         self.repairs: list[RepairAction] = []
-
-    def attach(self, machine) -> "RepairingArbalest":
-        engine = machine.bus.engine
-        if engine != "scalar":
-            raise ValueError(
-                f"{self.name} cannot attach to a {engine!r} bus: it batches "
-                "accesses and delivers them after the program reads the "
-                "bytes, too late to repair them; use engine='scalar'"
-            )
-        return super().attach(machine)
 
     # -- hook into the data-op path: rescue values before they are lost -----
 

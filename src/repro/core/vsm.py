@@ -19,33 +19,6 @@ from dataclasses import dataclass
 from .states import ILLEGAL, TRANSITIONS, VsmOp, VsmState
 
 
-def transition_matrix():
-    """Figure 4 as a dense ``(op, state) -> state'`` uint8 numpy matrix.
-
-    Row ``op``, column ``state`` holds the successor state code; this is the
-    table the columnar engine gathers whole event batches through (and the
-    cross-check for :data:`repro.core.shadow.TRANS_LUT`).
-    """
-    import numpy as np
-
-    m = np.zeros((len(VsmOp), len(VsmState)), dtype=np.uint8)
-    for op in VsmOp:
-        for st in VsmState:
-            m[op, st] = int(TRANSITIONS[op][st])
-    return m
-
-
-def illegal_matrix():
-    """Figure 4's illegal cells as a dense ``(op, state)`` boolean matrix."""
-    import numpy as np
-
-    m = np.zeros((len(VsmOp), len(VsmState)), dtype=bool)
-    for op in VsmOp:
-        for st in VsmState:
-            m[op, st] = ILLEGAL[op][st]
-    return m
-
-
 @dataclass
 class VsmVerdict:
     """Outcome of applying one operation."""

@@ -11,15 +11,24 @@ corresponding handler, so that
   (the paper's OMPT-less tools never see semantic data ops).
 
 Program accesses enter through one producer call, :meth:`ToolBus.record_access`.
-A scalar bus turns it into an :class:`Access` (with a lazy stack provider)
-and dispatches it at once; a columnar bus appends a plain row with the
-stack pinned, and builds ``Access`` objects only when a flush needs them —
-every row for a flush below :data:`~repro.events.columnar.MIN_BATCH`
-(handed straight to the scalar handlers, no batch built), and only the rows
-a tool indexes for a larger :class:`~repro.events.columnar.EventBatch`.
-:meth:`ToolBus.publish_access` takes an already-built ``Access`` (trace
-replays, serve shards); on a columnar bus it joins the same pending list
-and reaches the tools as that same object.
+The bus is columnar: it appends a plain row with the stack pinned, and builds
+``Access`` objects only when a flush needs them — every row for a flush below
+:data:`~repro.events.columnar.MIN_BATCH` or while a flight recorder is active
+(handed straight to the scalar handlers in scalar order, each access to every
+tool in turn, no batch built), and only the rows a tool indexes for a larger
+:class:`~repro.events.columnar.EventBatch`.  :meth:`ToolBus.publish_access`
+takes an already-built ``Access`` (trace replays, serve shards); it joins the
+same pending list and reaches the tools as that same object.  The scalar
+engine (``ToolBus(engine="scalar")``) is the reference that tests and the
+benchmark construct explicitly: it dispatches each access at once, and so
+does a columnar bus while a tool that must see each access before the
+program reads its bytes (:attr:`Tool.needs_immediate_access`) is attached.
+
+The bus also feeds variable attribution: while a flight recorder is active,
+every allocation and data op is shown to it (:meth:`FlightRecorder.observe`)
+after pending accesses are flushed and before chaos perturbation and
+fan-out, so a live run, a trace replay and a serve shard build the
+recorder's address index from the same events with the same code.
 
 Two robustness roles ride on top of dispatch:
 
@@ -67,6 +76,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..tools.base import Tool
 
 
+#: The event engine of every product path.  ``"scalar"`` is the reference
+#: that tests and the benchmark construct explicitly.
+ENGINE = "columnar"
+
+
 @dataclass(frozen=True)
 class ToolErrorRecord:
     """One isolated tool-handler failure."""
@@ -82,21 +96,24 @@ class ToolErrorRecord:
 class ToolBus:
     """Fan-out of runtime events to attached tools.
 
-    ``engine`` selects the access dispatch strategy: ``"scalar"`` (the
-    default, and the differential-testing oracle) delivers each access to
-    each tool's ``on_access`` immediately; ``"columnar"`` parks accesses in
-    a pending batch and flushes them through ``on_batch`` — before any
+    ``engine`` selects the access dispatch strategy: ``"columnar"`` (the
+    default, and the engine of every product path) parks accesses in a
+    pending batch and flushes them through ``on_batch`` — before any
     non-access publish, at :data:`~repro.events.columnar.BATCH_CAP`, and on
-    attach/detach — so tools see exactly the same event order, just blocked.
+    attach/detach — so tools see exactly the same event order, just
+    blocked; ``"scalar"`` (the reference) delivers each access to each
+    tool's ``on_access`` immediately.
     """
 
-    def __init__(self, engine: str = "scalar") -> None:
+    def __init__(self, engine: str = ENGINE) -> None:
         if engine not in ("scalar", "columnar"):
             raise ValueError(
                 f"unknown engine {engine!r}: expected 'scalar' or 'columnar'"
             )
         self.engine = engine
-        self._columnar = engine == "columnar"
+        #: Whether accesses are parked right now: a columnar bus with no
+        #: attached tool that needs each access delivered immediately.
+        self._batching = engine == "columnar"
         self._batch_pending: list[Row] = []
         self._tools: list["Tool"] = []
         self._access: tuple["Tool", ...] = ()
@@ -149,6 +166,9 @@ class ToolBus:
         self._sync = overriding("on_sync")
         self._flush = overriding("on_flush")
         self._memcpy = overriding("on_memcpy")
+        self._batching = self.engine == "columnar" and not any(
+            t.needs_immediate_access for t in self._tools
+        )
 
     def publishers(self) -> dict[type, Callable[[object], None]]:
         """Event type -> this bus's publish method, for replaying a trace.
@@ -256,12 +276,11 @@ class ToolBus:
     ) -> None:
         """A program access, from its producer (``source`` is a SourceStack).
 
-        The scalar engine publishes an :class:`Access` whose stack is
-        captured lazily; the columnar engine parks a row whose stack is
-        pinned now — the batch is dispatched after the producing frame has
-        moved on.
+        A batching bus parks a row whose stack is pinned now — the batch is
+        dispatched after the producing frame has moved on; otherwise the
+        bus publishes an :class:`Access` whose stack is captured lazily.
         """
-        if self._columnar:
+        if self._batching:
             pending = self._batch_pending
             pending.append(
                 (
@@ -288,7 +307,7 @@ class ToolBus:
 
     def publish_access(self, access: Access) -> None:
         """An already-built access (trace replays, serve shards)."""
-        if self._columnar:
+        if self._batching:
             # Pin the call stack now: the lazy provider only stays valid
             # while the producing frame is live, and batch dispatch happens
             # long after that frame has moved on.
@@ -315,7 +334,7 @@ class ToolBus:
                 self._tool_error(tool, "on_access", exc)
 
     def flush_batch(self) -> None:
-        """Deliver the pending access batch through ``on_batch``.
+        """Deliver the pending accesses, batched through ``on_batch``.
 
         A no-op when nothing is pending (scalar buses never accumulate), so
         callers can invoke it unconditionally at ordering barriers.
@@ -324,17 +343,18 @@ class ToolBus:
         if not pending:
             return
         self._batch_pending = []
-        if len(pending) < MIN_BATCH:
-            # Bulk-kernel traffic: a few large accesses per window.  The
-            # vectorized setup cost dwarfs per-event dispatch here, so hand
-            # the run to the scalar handlers (semantically identical)
-            # without building a batch.
+        obs = _obs.ACTIVE
+        if len(pending) < MIN_BATCH or (obs is not None and obs.recorder is not None):
+            # Bulk-kernel traffic — a few large accesses per window — where
+            # the vectorized setup cost dwarfs per-event dispatch, or a
+            # flight recorder, whose findings snapshot a ring every tool
+            # appends to: hand the run to the scalar handlers in scalar
+            # order (semantically identical) without building a batch.
             batch = None
             accesses = materialize(pending)
         else:
             batch = EventBatch(pending)
             accesses = batch.accesses
-        obs = _obs.ACTIVE
         if obs is not None:
             if obs.profiler is not None:
                 # Same sampling countdown as the scalar path: each access
@@ -352,9 +372,9 @@ class ToolBus:
                 metrics.count("bus.events.on_access", len(pending))
                 metrics.count("bus.access_fanout", len(pending) * len(self._access))
         if batch is None:
-            for tool in self._access:
-                on_access = tool.on_access
-                for access in accesses:
+            handlers = [(tool, tool.on_access) for tool in self._access]
+            for access in accesses:
+                for tool, on_access in handlers:
                     try:
                         on_access(access)
                     except Exception as exc:
@@ -369,11 +389,14 @@ class ToolBus:
     def publish_data_op(self, op: DataOp) -> None:
         if self._batch_pending:
             self.flush_batch()
+        obs = _obs.ACTIVE
+        if obs is not None and obs.recorder is not None:
+            obs.recorder.observe(op)
         if self.chaos is not None:
             for event in self.chaos.perturb_data_op(op):
-                self._fan_out(self._data_op, "on_data_op", event, _obs.ACTIVE)
+                self._fan_out(self._data_op, "on_data_op", event, obs)
         else:
-            self._fan_out(self._data_op, "on_data_op", op, _obs.ACTIVE)
+            self._fan_out(self._data_op, "on_data_op", op, obs)
 
     def flush_chaos(self) -> None:
         """Deliver any chaos-held (reordered) data op at end of run."""
@@ -397,7 +420,10 @@ class ToolBus:
     def publish_allocation(self, event: AllocationEvent) -> None:
         if self._batch_pending:
             self.flush_batch()
-        self._fan_out(self._allocation, "on_allocation", event, _obs.ACTIVE)
+        obs = _obs.ACTIVE
+        if obs is not None and obs.recorder is not None:
+            obs.recorder.observe(event)
+        self._fan_out(self._allocation, "on_allocation", event, obs)
 
     def publish_sync(self, event: SyncEvent) -> None:
         if self._batch_pending:

@@ -446,4 +446,5 @@ def replay(events: Iterable[object], tools: Iterable[Tool]) -> ToolBus:
     dispatch = bus.publishers()
     for event in events:
         dispatch[type(event)](event)
+    bus.flush_batch()
     return bus

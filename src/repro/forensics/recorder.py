@@ -12,6 +12,9 @@ and recording them would wreck the hot path).
 Each variable gets its own bounded ring buffer (:class:`VariableRing`):
 memory stays bounded no matter how long the run is, and eviction is
 per-variable so a chatty array cannot push a quiet one's history out.
+Alongside the rings sits an address-to-variable index, fed by the tool
+bus from the allocation and data-op events it publishes
+(:meth:`FlightRecorder.observe`).
 
 Timestamps are **event ordinals** from the clock of the
 :class:`~repro.observe.core.Observation` the recorder is a sink of: sites
@@ -28,6 +31,7 @@ from collections import deque
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
+from ..events.records import AllocationEvent, DataOp, DataOpKind
 from ..events.source import SourceLocation, UNKNOWN_LOCATION
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -111,8 +115,11 @@ class FlightRecorder:
     The address index exists for the baseline tools: ASan/MSan/Valgrind
     findings carry a faulting address but no variable name, and the
     recorder is the one component that watched every labelled range get
-    mapped in.  ``resolve`` answers "whose storage is this address?" for
-    both live and recently retired ranges.
+    mapped in.  The tool bus feeds it: every allocation and data op it
+    publishes while the recorder is active passes through :meth:`observe`
+    first, so a live run, a trace replay and a serve shard derive the
+    index from the same events.  ``resolve`` answers "whose storage is
+    this address?" for both live and recently retired ranges.
     """
 
     def __init__(self, capacity: int = DEFAULT_CAPACITY) -> None:
@@ -168,6 +175,33 @@ class FlightRecorder:
         return ring.events(), ring.dropped
 
     # -- address index -----------------------------------------------------
+
+    def observe(self, event: AllocationEvent | DataOp) -> None:
+        """Update the address index from one allocation or data-op event.
+
+        * a host (device 0) allocation carries the array name as its label
+          — register it verbatim;
+        * a device CV is named after its OV, **not** after its allocation
+          label (device allocs are labelled ``name(CV)`` / ``name(image)``),
+          so CV ranges register at the ``ALLOC`` data op by resolving the
+          OV address against the already-registered host range;
+        * frees and ``DELETE`` data ops retire ranges, keeping allocator
+          reuse from mis-attributing and letting use-after-unmap findings
+          still name the departed variable.
+        """
+        if type(event) is AllocationEvent:
+            if event.is_free:
+                self.release_range(event.device_id, event.address)
+            elif event.device_id == 0 and event.label:
+                self.register_range(0, event.address, event.nbytes, event.label)
+        elif event.kind is DataOpKind.ALLOC:
+            name = self.resolve(0, event.ov_address)
+            if name:
+                self.register_range(
+                    event.device_id, event.cv_address, event.nbytes, name
+                )
+        elif event.kind is DataOpKind.DELETE:
+            self.release_range(event.device_id, event.cv_address)
 
     def register_range(
         self, device_id: int, base: int, nbytes: int, variable: str

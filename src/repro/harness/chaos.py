@@ -34,6 +34,7 @@ from typing import Iterable
 
 from ..core.detector import Arbalest
 from ..dracc.registry import DraccBenchmark, suite as dracc_suite
+from ..events.bus import ENGINE
 from ..faults.injector import FaultInjector
 from ..faults.plan import FaultPlan
 from ..openmp.runtime import TargetRuntime
@@ -61,12 +62,10 @@ def _signature(detector: Arbalest) -> tuple[str, ...]:
 
 
 def _run_one(
-    bench: DraccBenchmark,
-    injector: FaultInjector | None,
-    engine: str = "scalar",
+    bench: DraccBenchmark, injector: FaultInjector | None
 ) -> tuple[Arbalest, BaseException | None]:
     """One benchmark under ARBALEST, optionally faulted; never raises."""
-    rt = TargetRuntime(n_devices=2, faults=injector, engine=engine)
+    rt = TargetRuntime(n_devices=2, faults=injector)
     detector = Arbalest().attach(rt.machine)
     try:
         bench.run(rt)
@@ -82,23 +81,19 @@ def run_chaos_campaign(
     faults_per_schedule: int = 6,
     suite: str = "all",
     benchmarks: Iterable[DraccBenchmark] | None = None,
-    engine: str = "scalar",
 ) -> dict:
     """Sweep ``schedules`` sampled fault schedules over the DRACC suite.
 
     Returns the JSON-ready campaign payload (see module docstring).  Fully
     deterministic in ``seed`` and the parameters: two invocations produce
-    identical payloads, including every schedule log entry.  ``engine``
-    selects the :class:`~repro.events.bus.ToolBus` dispatch strategy for
-    every run, baseline and faulted alike — the recovery guarantees must
-    hold under both, which is why CI runs the campaign under each.
+    identical payloads, including every schedule log entry.
     """
     benches = tuple(benchmarks) if benchmarks is not None else dracc_suite(suite)
 
     # Un-faulted baseline, once per benchmark.
     baseline: dict[int, tuple[tuple[str, ...], bool]] = {}
     for bench in benches:
-        detector, error = _run_one(bench, None, engine)
+        detector, error = _run_one(bench, None)
         if error is not None:  # pragma: no cover - the seed suite is healthy
             raise error
         baseline[bench.number] = (
@@ -127,7 +122,7 @@ def run_chaos_campaign(
                 n_faults=faults_per_schedule,
             )
             injector = FaultInjector(plan)
-            detector, error = _run_one(bench, injector, engine)
+            detector, error = _run_one(bench, injector)
             run_id = {"schedule": schedule, "benchmark": bench.number}
             for record in injector.log:
                 schedule_log.append({**run_id, **record.to_json()})
@@ -180,7 +175,7 @@ def run_chaos_campaign(
         "seed": seed,
         "schedules": schedules,
         "faults_per_schedule": faults_per_schedule,
-        "engine": engine,
+        "engine": ENGINE,
         "suite": suite if benchmarks is None else "custom",
         "benchmarks": len(benches),
         "runs": schedules * len(benches),
@@ -221,7 +216,6 @@ def run_chaos(
     output: str = "BENCH_chaos.json",
     telemetry: bool = False,
     report: str | None = None,
-    engine: str = "scalar",
 ) -> dict:
     """Run a campaign and write the tracked ``BENCH_chaos.json`` report.
 
@@ -244,7 +238,6 @@ def run_chaos(
                 schedules=schedules,
                 faults_per_schedule=faults_per_schedule,
                 suite=suite,
-                engine=engine,
             )
         payload["telemetry"] = observation.snapshot()
     else:
@@ -253,7 +246,6 @@ def run_chaos(
             schedules=schedules,
             faults_per_schedule=faults_per_schedule,
             suite=suite,
-            engine=engine,
         )
     tmp = output + ".tmp"
     with open(tmp, "w") as sink:

@@ -26,6 +26,7 @@ from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Iterable
 
+from ..events.bus import ENGINE
 from ..observe.history import append_history, run_meta
 from ..observe.core import scope
 from ..observe.prof import DEFAULT_STRIDE, Governor, Profiler
@@ -43,10 +44,6 @@ from .tables import render_ratio_chart, render_table
 #: continuous profiler sampling (governor at default budget — the tracked
 #: profiler-tax number, gated at a couple percent over plain arbalest).
 CONFIGS = ("native", *TOOL_ORDER, "arbalest-cert", "arbalest-rec", "arbalest-prof")
-
-#: The one event engine the bench runs (``ToolBus`` batched dispatch) —
-#: the engine of ``repro serve`` and of the repo benchmark too.
-ENGINE = "columnar"
 
 #: The ``large`` preset's element-wise twins make the full matrix too slow
 #: for CI, so it runs the detector configurations only.
@@ -96,10 +93,6 @@ class OverheadResult:
     def slowdown(self, workload: str, config: str) -> float:
         native = self.get(workload, "native").seconds
         return self.get(workload, config).seconds / max(native, 1e-9)
-
-    def space_ratio(self, workload: str, config: str) -> float:
-        native = self.get(workload, "native").total_bytes
-        return self.get(workload, config).total_bytes / max(native, 1)
 
     # -- rendering -----------------------------------------------------------
 
@@ -162,7 +155,7 @@ def measure_one(
     """One (workload, tool) cell: fresh machine, attach, run, account."""
     best = None
     for _ in range(max(1, repetitions)):
-        rt = TargetRuntime(n_devices=1, engine=ENGINE)
+        rt = TargetRuntime(n_devices=1)
         tool = None
         recorder = None
         run_scope = nullcontext()
@@ -252,7 +245,7 @@ def run_overhead_comparison(
     # Run the *measured* preset: warming a different one leaves preset-sized
     # allocations and code paths cold and skews the first column.
     for w in workloads:
-        rt = TargetRuntime(n_devices=1, engine=ENGINE)
+        rt = TargetRuntime(n_devices=1)
         w.run(rt, preset)
         rt.finalize()
     for w in workloads:

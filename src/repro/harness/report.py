@@ -17,6 +17,7 @@ from __future__ import annotations
 from typing import Iterable
 
 from ..dracc.registry import DraccBenchmark, suite as dracc_suite
+from ..events.bus import ENGINE
 from ..forensics import DEFAULT_CAPACITY, FlightRecorder
 from ..observe.core import scope
 from ..forensics.report import SCHEMA, build_summary, finding_entry
@@ -30,7 +31,6 @@ def run_report(
     tools: Iterable[str] = ("arbalest",),
     capacity: int = DEFAULT_CAPACITY,
     benchmarks: Iterable[DraccBenchmark] | None = None,
-    engine: str = "scalar",
 ) -> dict:
     """Run ``suite`` under the recorder and return the report payload.
 
@@ -48,7 +48,7 @@ def run_report(
     findings: list[dict] = []
     for bench in benches:
         recorder = FlightRecorder(capacity)
-        rt = TargetRuntime(n_devices=2, engine=engine)
+        rt = TargetRuntime(n_devices=2)
         attached = {
             name: TOOL_FACTORIES[name]().attach(rt.machine) for name in tools
         }
@@ -70,10 +70,7 @@ def run_report(
         "suite": suite if benchmarks is None else "custom",
         "tools": list(tools),
         "capacity": capacity,
-        # Findings must be engine-independent; recording the engine in the
-        # header lets CI diff a columnar report against the scalar golden
-        # and treat any drift as a regression.
-        "engine": engine,
+        "engine": ENGINE,
     }
     return {
         "header": header,

@@ -32,7 +32,7 @@ import time
 from typing import Iterable
 
 from ..dracc.registry import DraccBenchmark, suite as dracc_suite
-from ..events.bus import ToolBus
+from ..events.bus import ENGINE, ToolBus
 from ..events.trace_io import TraceWriter, read_trace
 from ..faults.plan import FaultKind, FaultPlan
 from ..forensics.recorder import FlightRecorder
@@ -45,7 +45,6 @@ from ..serve import (
     LoopbackTransport,
     ServeClient,
     ServerConfig,
-    register_forensic_ranges,
 )
 
 #: Serve fault kinds in deterministic generation order (the frozenset in
@@ -76,20 +75,19 @@ def baseline_fingerprints(
 ) -> tuple[tuple[str, str], ...]:
     """In-process fingerprints: the recorded trace through fresh tools.
 
-    Dispatched under a flight recorder whose address index is rebuilt
-    from the trace (exactly as each shard worker rebuilds its own), so
-    variable attribution — and therefore every fingerprint — matches
-    both the served path and the live golden-report path.
+    Dispatched under a flight recorder, whose address index the bus
+    derives from the trace exactly as it does in each shard worker and
+    in a live run, so variable attribution — and therefore every
+    fingerprint — matches both the served path and the live
+    golden-report path.
     """
     instances = {name: DEFAULT_TOOLS[name]() for name in tools}
     bus = ToolBus()
     for tool in instances.values():
         bus.attach(tool)
     dispatch = bus.publishers()
-    recorder = FlightRecorder()
-    with scope(recorder=recorder):
+    with scope(recorder=FlightRecorder()):
         for event in events:
-            register_forensic_ranges(recorder, event)
             dispatch[type(event)](event)
         bus.flush_batch()
     return tuple(
@@ -108,7 +106,6 @@ def run_serve_suite(
     *,
     suite: str = "buggy",
     n_shards: int = 4,
-    engine: str = "columnar",
     tools: Iterable[str] = ("arbalest",),
     queue_cap: int = 256,
     benchmarks: Iterable[DraccBenchmark] | None = None,
@@ -123,9 +120,7 @@ def run_serve_suite(
     tools = tuple(tools)
     benches = tuple(benchmarks) if benchmarks is not None else dracc_suite(suite)
     server = AnalysisServer(
-        ServerConfig(
-            n_shards=n_shards, engine=engine, tools=tools, queue_cap=queue_cap
-        )
+        ServerConfig(n_shards=n_shards, tools=tools, queue_cap=queue_cap)
     )
     sessions: list[dict] = []
     findings: list[dict] = []
@@ -174,7 +169,7 @@ def run_serve_suite(
         "suite": suite if benchmarks is None else "custom",
         "tools": list(tools),
         "capacity": 0,  # no flight recorder on the serve path
-        "engine": engine,
+        "engine": ENGINE,
     }
     report = {
         "header": header,
@@ -183,7 +178,7 @@ def run_serve_suite(
     }
     return {
         "suite": suite if benchmarks is None else "custom",
-        "engine": engine,
+        "engine": ENGINE,
         "n_shards": n_shards,
         "tools": list(tools),
         "benchmarks": len(benches),
@@ -222,7 +217,6 @@ def run_serve_bench(
     *,
     suite: str = "buggy",
     n_shards: int = 4,
-    engine: str = "columnar",
     tools: Iterable[str] = ("arbalest",),
     queue_cap: int = 256,
     output: str | None = "BENCH_serve.json",
@@ -255,9 +249,7 @@ def run_serve_bench(
         else None
     )
     server = AnalysisServer(
-        ServerConfig(
-            n_shards=n_shards, engine=engine, tools=tools, queue_cap=queue_cap
-        ),
+        ServerConfig(n_shards=n_shards, tools=tools, queue_cap=queue_cap),
         observer,
     )
     latencies: list[float] = []
@@ -283,7 +275,7 @@ def run_serve_bench(
     payload = {
         "artifact": SERVE_BENCH_ARTIFACT,
         "suite": suite,
-        "engine": engine,
+        "engine": ENGINE,
         "n_shards": n_shards,
         "tools": list(tools),
         "benchmarks": len(benches),
@@ -323,7 +315,7 @@ def run_serve_bench(
     from ..observe.history import append_history, run_meta
 
     payload["meta"] = run_meta(
-        engine=engine, suite=suite, n_shards=n_shards, tools=list(tools)
+        engine=ENGINE, suite=suite, n_shards=n_shards, tools=list(tools)
     )
     if output is not None:
         tmp = output + ".tmp"
@@ -353,7 +345,6 @@ def run_serve_chaos_campaign(
     faults_per_schedule: int = 6,
     suite: str = "buggy",
     n_shards: int = 4,
-    engine: str = "columnar",
     tools: Iterable[str] = ("arbalest",),
     queue_cap: int = 256,
     benchmarks: Iterable[DraccBenchmark] | None = None,
@@ -458,10 +449,7 @@ def run_serve_chaos_campaign(
                         client_spans = observer.span_log("client")
                 server = AnalysisServer(
                     ServerConfig(
-                        n_shards=n_shards,
-                        engine=engine,
-                        tools=tools,
-                        queue_cap=queue_cap,
+                        n_shards=n_shards, tools=tools, queue_cap=queue_cap
                     ),
                     observer,
                 )
@@ -552,7 +540,7 @@ def run_serve_chaos_campaign(
         "schedules": schedules,
         "faults_per_schedule": faults_per_schedule,
         "suite": suite if benchmarks is None else "custom",
-        "engine": engine,
+        "engine": ENGINE,
         "n_shards": n_shards,
         "target": "serve",
         "benchmarks": len(benches),
@@ -632,7 +620,6 @@ def run_serve_chaos(
     faults_per_schedule: int = 6,
     suite: str = "buggy",
     n_shards: int = 4,
-    engine: str = "columnar",
     output: str = "BENCH_serve_chaos.json",
     observe: bool = True,
     trace_output: str | None = None,
@@ -645,7 +632,6 @@ def run_serve_chaos(
         faults_per_schedule=faults_per_schedule,
         suite=suite,
         n_shards=n_shards,
-        engine=engine,
         observe=observe,
         trace_output=trace_output,
         log_output=log_output,

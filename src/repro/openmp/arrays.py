@@ -170,10 +170,6 @@ class _ArrayView:
         """Instrumented whole-array store."""
         self.write(slice(0, self.length), value)
 
-    def to_list(self) -> list:
-        """Instrumented full read as a Python list (convenience)."""
-        return list(self.read(slice(0, self.length)))
-
 
 class HostArray(_ArrayView):
     """The original variable (OV): host storage of one program array."""

@@ -30,7 +30,7 @@ import numpy as np
 from ..events.records import AllocationEvent
 from ..memory.allocator import Allocator, Extent
 from ..memory.buffer import RawBuffer
-from ..memory.errors import InvalidFreeError, OutOfMemoryError
+from ..memory.errors import OutOfMemoryError
 from ..memory.layout import window_for_device
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -118,12 +118,6 @@ class Device:
         )
 
     # -- lookup --------------------------------------------------------------
-
-    def buffer_at_base(self, base: int) -> RawBuffer:
-        try:
-            return self.buffers[base]
-        except KeyError:
-            raise InvalidFreeError(f"{base:#x} is not a live buffer base") from None
 
     def buffer_containing(self, address: int) -> RawBuffer | None:
         """The live buffer whose extent contains ``address``, if any."""

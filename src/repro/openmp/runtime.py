@@ -33,7 +33,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence, Union
 
 import numpy as np
 
-from ..events.bus import ToolBus
+from ..events.bus import ENGINE, ToolBus
 from ..events.records import (
     DataOp,
     DataOpKind,
@@ -92,7 +92,7 @@ class Machine:
         schedule: Schedule = Schedule.EAGER,
         seed: int = 0,
         faults: "FaultInjector | None" = None,
-        engine: str = "scalar",
+        engine: str = ENGINE,
     ):
         if n_devices < 1:
             raise DeviceError("a machine needs at least one accelerator")
@@ -211,7 +211,6 @@ class TargetRuntime:
         self._arrays[name] = arr
         obs = _obs.ACTIVE
         if obs is not None and obs.recorder is not None:
-            obs.recorder.register_range(0, arr.base, arr.nbytes, name)
             stack = self.machine.source.snapshot()
             obs.recorder.record(
                 name,
@@ -245,9 +244,6 @@ class TargetRuntime:
                     dev, arr.nbytes, storage="global", fill=0,
                     label=f"{arr.name}(image)",
                 ).base
-            obs = _obs.ACTIVE
-            if obs is not None and obs.recorder is not None:
-                obs.recorder.register_range(device_id, cv_address, arr.nbytes, arr.name)
             dev.present.insert(
                 PresentEntry(
                     ov_address=arr.base,
@@ -276,7 +272,6 @@ class TargetRuntime:
         self._arrays.pop(array.name, None)
         obs = _obs.ACTIVE
         if obs is not None and obs.recorder is not None:
-            obs.recorder.release_range(0, array.base)
             stack = self.machine.source.snapshot()
             obs.recorder.record(
                 array.name,
@@ -557,11 +552,6 @@ class TargetRuntime:
             name=spec.array.name,
             array=spec.array,
         )
-        obs = _obs.ACTIVE
-        if obs is not None and obs.recorder is not None:
-            obs.recorder.register_range(
-                dev.device_id, cv_address, spec.nbytes, spec.array.name
-            )
         dev.present.insert(entry)
         machine.bus.publish_data_op(
             DataOp(
@@ -584,11 +574,8 @@ class TargetRuntime:
         an ALLOC/DELETE pair with no transfer in between is a no-op.
         """
         obs = _obs.ACTIVE
-        if obs is not None:
-            if obs.metrics is not None:
-                obs.metrics.count("runtime.map_rollbacks")
-            if obs.recorder is not None:
-                obs.recorder.release_range(dev.device_id, entry.cv_address)
+        if obs is not None and obs.metrics is not None:
+            obs.metrics.count("runtime.map_rollbacks")
         dev.present.remove(entry)
         self.machine.bus.publish_data_op(
             DataOp(
@@ -645,11 +632,8 @@ class TargetRuntime:
             return
         if eff.copies_to_host and not dev.unified:
             self._transfer(dev, entry, DataOpKind.D2H)
-        if obs is not None:
-            if obs.metrics is not None:
-                obs.metrics.count("runtime.unmaps")
-            if obs.recorder is not None:
-                obs.recorder.release_range(dev.device_id, entry.cv_address)
+        if obs is not None and obs.metrics is not None:
+            obs.metrics.count("runtime.unmaps")
         dev.present.remove(entry)
         self.machine.bus.publish_data_op(
             DataOp(

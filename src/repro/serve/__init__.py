@@ -4,8 +4,8 @@
 analysis service.  Clients stream length-prefixed, sequence-numbered event
 frames (:mod:`repro.events.wire`); the server shards detector state by
 address range across worker shards, feeds each shard's events through the
-existing columnar :class:`~repro.events.bus.ToolBus` engine in batches,
-and streams back fingerprint-keyed findings.
+existing columnar :class:`~repro.events.bus.ToolBus`, and streams back
+fingerprint-keyed findings.
 
 The delivery guarantee — the whole point of the subsystem — is:
 
@@ -44,12 +44,7 @@ from .journal import ShardJournal
 from .net import serve_connection, serve_socket, serve_stdio
 from .router import AddressRouter
 from .server import AnalysisServer, ServerConfig
-from .shard import (
-    DEFAULT_TOOLS,
-    ShardWorker,
-    WorkerCrash,
-    register_forensic_ranges,
-)
+from .shard import DEFAULT_TOOLS, ShardWorker, WorkerCrash
 from .supervisor import Supervisor
 from .transport import LoopbackTransport
 
@@ -70,5 +65,4 @@ __all__ = [
     "serve_socket",
     "serve_stdio",
     "serve_connection",
-    "register_forensic_ranges",
 ]

@@ -1,10 +1,14 @@
 """One shard worker: a full detector stack over a slice of address space.
 
 A :class:`ShardWorker` owns a fresh :class:`~repro.events.bus.ToolBus`
-(columnar by default — the batched numpy engine is the whole reason
-sharded batch feeding is fast) with its own tool instances.  It consumes
-journaled event frames, applies them to the bus, and exposes its tools'
-findings.
+(columnar, like every product path; ``engine="scalar"`` pins the
+reference) with its own tool instances.  It consumes journaled event
+frames, applies them to the bus, and exposes its tools' findings.  Every
+dispatch runs under the worker's flight recorder, so the bus derives
+variable attribution from the applied events exactly as it does in a
+live run — served findings fingerprint identically to in-process ones —
+and, as in any recorded run, hands accesses to the tools one at a time
+in scalar order.
 
 Crash semantics are explicit, because the chaos campaign injects them at
 every possible point: :exc:`WorkerCrash` models the worker process dying
@@ -22,7 +26,6 @@ from typing import Callable, Iterable
 
 from ..core.detector import Arbalest
 from ..events.bus import ToolBus
-from ..events.records import AllocationEvent, DataOp, DataOpKind
 from ..events.trace_io import event_from_json
 from ..forensics.recorder import FlightRecorder
 from ..observe import core as _obs
@@ -38,7 +41,6 @@ __all__ = [
     "ShardWorker",
     "WorkerCrash",
     "DEFAULT_TOOLS",
-    "register_forensic_ranges",
 ]
 
 #: Tool factories the server can host, mirroring the harness's Table III
@@ -55,42 +57,6 @@ DEFAULT_TOOLS: dict[str, Callable[[], Tool]] = {
 
 class WorkerCrash(RuntimeError):
     """A shard worker died mid-delivery (injected or real)."""
-
-
-def register_forensic_ranges(recorder: FlightRecorder, event) -> None:
-    """Rebuild the live runtime's address index from a streamed trace.
-
-    Findings name their variable through the flight recorder's address
-    index, and the live runtime populates that index out of band (at
-    ``HostArray`` creation and present-table insertion) — calls a trace
-    replay never sees.  This mirrors each registration from the events
-    that *are* in the trace, so served findings fingerprint identically
-    to in-process ones:
-
-    * a host (device 0) allocation carries the array name as its label —
-      register it verbatim;
-    * a device CV is named after its OV, **not** after its allocation
-      label (device allocs are labelled ``name(CV)`` / ``name(image)``),
-      so CV ranges register at the ``ALLOC`` data op by resolving the OV
-      address against the already-registered host range;
-    * frees and ``DELETE`` data ops retire ranges, keeping allocator
-      reuse from mis-attributing and letting use-after-unmap findings
-      still name the departed variable.
-    """
-    if type(event) is AllocationEvent:
-        if event.is_free:
-            recorder.release_range(event.device_id, event.address)
-        elif event.device_id == 0 and event.label:
-            recorder.register_range(0, event.address, event.nbytes, event.label)
-    elif type(event) is DataOp:
-        if event.kind is DataOpKind.ALLOC:
-            name = recorder.resolve(0, event.ov_address)
-            if name:
-                recorder.register_range(
-                    event.device_id, event.cv_address, event.nbytes, name
-                )
-        elif event.kind is DataOpKind.DELETE:
-            recorder.release_range(event.device_id, event.cv_address)
 
 
 class ShardWorker:
@@ -266,7 +232,6 @@ class ShardWorker:
 
     def _apply(self, event_json: dict, frame: tuple | None = None) -> None:
         event = event_from_json(event_json)
-        register_forensic_ranges(self.recorder, event)
         profiler = self._profiler
         if profiler is None or frame is None:
             self._observed(self._dispatch[type(event)], event)

@@ -67,12 +67,6 @@ class SafetyCertificate:
     def __len__(self) -> int:
         return len(self.variables)
 
-    def section_for(self, name: str) -> SectionCert | None:
-        for cert in self.sections:
-            if cert.var == name:
-                return cert
-        return None
-
     def render(self) -> str:
         parts = []
         if self.variables:

@@ -47,6 +47,12 @@ class Tool:
     #: Short display name ("arbalest", "valgrind", ...).
     name = "tool"
 
+    #: Whether the tool must see each access before the program reads the
+    #: bytes (it acts on the access, not just observes it).  While such a
+    #: tool is attached, the bus delivers every access immediately instead
+    #: of batching.
+    needs_immediate_access = False
+
     def __init__(self) -> None:
         self.machine: "Machine | None" = None
         self.findings: list[Finding] = []
@@ -130,12 +136,15 @@ class Tool:
         """A program load/store (never called unless overridden)."""
 
     def on_batch(self, batch: "EventBatch") -> None:
-        """An ordered block of accesses (columnar engine only).
+        """An ordered block of accesses (a flush of the columnar bus).
 
-        The default implementation replays the batch through ``on_access``
-        one event at a time, so every access-subscribing tool is correct
-        under the columnar engine; tools override this to process the
-        batch's numpy columns wholesale.
+        The bus hands a batch only to a flush of at least
+        :data:`~repro.events.columnar.MIN_BATCH` accesses with no flight
+        recorder active; smaller flushes and recorded runs reach
+        ``on_access`` directly, in scalar order.  The default
+        implementation replays the batch through ``on_access`` one event
+        at a time, so every access-subscribing tool is correct; tools
+        override this to process the batch's numpy columns wholesale.
         """
         on_access = self.on_access
         for access in batch.accesses:

@@ -60,6 +60,7 @@ class TestUUM:
         rt, det = setup()
         g = rt.array("g", 8, storage="global")
         _ = g[0]
+        rt.finalize()
         assert kinds(det) == ["UUM"]
 
 
@@ -293,7 +294,9 @@ class TestAccounting:
         assert det.shadow_bytes() > before
 
     def test_interval_cache_amortizes(self):
-        rt, det = setup()
+        # The last-lookup cache serves per-access delivery; a columnar
+        # flush of this kernel would take the vectorized batch path.
+        rt, det = setup(engine="scalar")
         a = rt.array("a", 64)
         a.fill(0.0)
 
@@ -311,6 +314,7 @@ class TestAccounting:
         det = Arbalest(record_access_metadata=True).attach(rt.machine)
         a = rt.array("a", 8)
         a.fill(1.0)
+        rt.finalize()
         block = det.shadows.find(a.base)
         word = block.word_at(a.base)
         assert word["is_write"]

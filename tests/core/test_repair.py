@@ -1,15 +1,13 @@
 """Online repair (§III.C): values rescued, detection unchanged, diagnostics."""
 
-import pytest
-
 from repro.core import Arbalest
 from repro.core.repair import RepairingArbalest
 from repro.dracc import buggy_benchmarks, clean_benchmarks, get
 from repro.openmp import TargetRuntime, alloc, to, tofrom
 
 
-def run_with(tool_cls, program, engine="scalar"):
-    rt = TargetRuntime(n_devices=2, engine=engine)
+def run_with(tool_cls, program):
+    rt = TargetRuntime(n_devices=2)
     tool = tool_cls().attach(rt.machine)
     out = program(rt)
     rt.finalize()
@@ -54,12 +52,6 @@ class TestStaleRepair:
         tool, seen = run_with(RepairingArbalest, program)
         assert seen == 9.0
         assert any("update to" in r.suggestion for r in tool.transfers_performed())
-
-    def test_batching_bus_refused_at_attach(self):
-        # A columnar bus delivers the access after the read: the repair
-        # would silently come too late, so attaching fails loudly.
-        with pytest.raises(ValueError, match="'columnar'"):
-            run_with(RepairingArbalest, self.usd_program, engine="columnar")
 
     def test_suggestion_names_the_directive(self):
         tool, _ = run_with(RepairingArbalest, self.usd_program)

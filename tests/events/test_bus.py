@@ -85,7 +85,90 @@ class TestDispatch:
         for t in tools:
             bus.attach(t)
         bus.publish_access(make_access())
+        bus.flush_batch()
         assert all(len(t.seen) == 1 for t in tools)
+
+
+class Immediate(AccessOnly):
+    name = "immediate"
+    needs_immediate_access = True
+
+
+class Logging(Tool):
+    def __init__(self, name, log):
+        super().__init__()
+        self.name = name
+        self.log = log
+
+    def on_access(self, access):
+        self.log.append((self.name, access.address))
+
+    def on_batch(self, batch):
+        self.log.append((self.name, "batch"))
+
+
+class TestDelivery:
+    def test_columnar_by_default_parks_until_flush(self):
+        bus = ToolBus()
+        assert bus.engine == "columnar"
+        a = AccessOnly()
+        bus.attach(a)
+        bus.publish_access(make_access())
+        assert a.seen == []
+        bus.flush_batch()
+        assert len(a.seen) == 1
+
+    def test_immediate_access_tool_stops_batching_while_attached(self):
+        bus = ToolBus()
+        a, now = AccessOnly(), Immediate()
+        bus.attach(a)
+        bus.attach(now)
+        bus.publish_access(make_access())
+        assert len(a.seen) == len(now.seen) == 1
+        bus.detach(now)
+        bus.publish_access(make_access())
+        assert len(a.seen) == 1
+        bus.flush_batch()
+        assert len(a.seen) == 2
+
+    def test_recording_flush_delivers_in_scalar_order(self):
+        from repro.events.columnar import MIN_BATCH
+        from repro.forensics import FlightRecorder
+        from repro.observe.core import scope
+
+        log = []
+        bus = ToolBus()
+        bus.attach(Logging("t1", log))
+        bus.attach(Logging("t2", log))
+        addresses = [BASE_ADDRESS + 8 * i for i in range(MIN_BATCH)]
+        with scope(recorder=FlightRecorder()):
+            for address in addresses:
+                bus.publish_access(Access(0, 0, address, 8, False))
+            bus.flush_batch()
+        assert log == [(t, a) for a in addresses for t in ("t1", "t2")]
+
+    def test_recorder_sees_allocations_after_pending_accesses(self):
+        from repro.events import AllocationEvent
+        from repro.forensics import FlightRecorder
+        from repro.observe import core
+
+        class Resolving(AccessOnly):
+            def on_access(self, access):
+                self.seen.append(core.variable_at(0, access.address))
+
+        bus = ToolBus()
+        tool = Resolving()
+        bus.attach(tool)
+        with core.scope(recorder=FlightRecorder()) as observation:
+            bus.publish_access(make_access())
+            bus.publish_allocation(
+                AllocationEvent(0, 0, BASE_ADDRESS, 64, is_free=False, label="a")
+            )
+            bus.publish_access(make_access())
+            bus.flush_batch()
+        # The parked access predates the allocation; the later one sees it.
+        assert tool.seen == ["", "a"]
+        assert observation.recorder.resolve(0, BASE_ADDRESS) == "a"
 
 
 class Exploding(Tool):
@@ -106,7 +189,8 @@ class TestCrashIsolation:
         bad, good = Exploding(), AccessOnly()
         bus.attach(bad)
         bus.attach(good)
-        bus.publish_access(make_access())  # must not raise
+        bus.publish_access(make_access())
+        bus.flush_batch()  # must not raise
         # The healthy tool still received the event.
         assert len(good.seen) == 1
         # The failure was recorded against the offender.
@@ -124,6 +208,7 @@ class TestCrashIsolation:
         bad = Exploding()
         bus.attach(bad)
         bus.publish_access(make_access())
+        bus.flush_batch()
         kinds = [f.kind for f in bad.findings]
         assert kinds == [FindingKind.TOOL_ERROR]
         assert "on_access" in bad.findings[0].message
@@ -132,8 +217,9 @@ class TestCrashIsolation:
         bus = ToolBus()
         bus.strict = True
         bus.attach(Exploding())
+        bus.publish_access(make_access())
         with pytest.raises(RuntimeError, match="boom"):
-            bus.publish_access(make_access())
+            bus.flush_batch()
         assert not bus.errors
 
 

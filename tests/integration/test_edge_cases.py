@@ -130,13 +130,14 @@ class TestDetectorReset:
         a.fill(1.0)
         rt.target(lambda ctx: ctx["a"].fill(2.0), maps=[to(a)])
         _ = a[0]
+        rt.finalize()
         assert det.mapping_issue_findings()
         det.reset()
         assert not det.findings and not det.bug_reports
         # Shadow state survives: reading again re-reports the same issue.
         _ = a[0]
-        assert det.mapping_issue_findings()
         rt.finalize()
+        assert det.mapping_issue_findings()
 
 
 class TestMultiDeviceDetectorParity:

@@ -4,14 +4,21 @@ The scalar engine is the reference semantics; the columnar engine is a
 performance transformation that must be observationally identical.  These
 tests run real programs (DRACC benchmarks, the SPEC ACCEL twins) under both
 engines and require byte-identical finding fingerprints, identical per-site
-counts, and identical certificate/quarantine accounting.
+counts, and identical certificate/quarantine accounting — also under a
+flight recorder and under seeded fault schedules.
 """
 
 import pytest
 
 from repro.core.detector import Arbalest
-from repro.dracc import all_benchmarks
+from repro.dracc import all_benchmarks, get
+from repro.faults.injector import FaultInjector
+from repro.faults.plan import FaultPlan
+from repro.forensics import FlightRecorder
+from repro.forensics.report import finding_entry
+from repro.harness.chaos import _plan_seed, _signature
 from repro.harness.precision import TOOL_FACTORIES, TOOL_ORDER
+from repro.observe.core import scope
 from repro.openmp.runtime import TargetRuntime
 from repro.specaccel.postencil import output_checksum, run_postencil
 from repro.specaccel.workloads import WORKLOADS
@@ -101,3 +108,42 @@ def test_large_preset_buggy_postencil_equivalent():
     scalar = run("scalar")
     assert scalar == run("columnar")
     assert scalar, "stale access went undetected on the large preset"
+
+
+def _recorded_entries(engine):
+    rt = TargetRuntime(n_devices=2, engine=engine)
+    tools = [TOOL_FACTORIES[name]().attach(rt.machine) for name in ("arbalest", "msan")]
+    bench = get(22)
+    with scope(recorder=FlightRecorder()):
+        bench.run(rt)
+    return [
+        finding_entry(f, count, benchmark=bench.number, bench_name=bench.name)
+        for tool in tools
+        for f, count in tool.findings_with_counts()
+    ]
+
+
+def test_recorded_provenance_engines_agree():
+    """Two tools under one recorder: the second tool's findings snapshot
+    the ring in scalar order, so provenance matches across engines."""
+    scalar = _recorded_entries("scalar")
+    assert {e["tool"] for e in scalar} == {"arbalest", "msan"}
+    assert scalar == _recorded_entries("columnar")
+
+
+def _run_faulted(benchmark, engine):
+    plan = FaultPlan.generate(_plan_seed(0, 0, benchmark.number), n_faults=6)
+    rt = TargetRuntime(n_devices=2, faults=FaultInjector(plan), engine=engine)
+    detector = Arbalest().attach(rt.machine)
+    benchmark.run(rt)
+    assert detector.check_invariants() == []
+    return _signature(detector), len(detector.quarantine_log)
+
+
+@pytest.mark.parametrize(
+    "dracc_case", all_benchmarks(), ids=lambda b: f"DRACC_{b.number:03d}"
+)
+def test_dracc_faulted_engines_agree(dracc_case):
+    """One seeded chaos schedule per benchmark: same findings, same
+    quarantine count, no crash and no invariant violation on either engine."""
+    assert _run_faulted(dracc_case, "scalar") == _run_faulted(dracc_case, "columnar")

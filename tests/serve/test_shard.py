@@ -11,7 +11,7 @@ from repro.events.records import (
 from repro.events.trace_io import event_to_json
 from repro.forensics.recorder import FlightRecorder
 from repro.observe.core import Clock, Observation
-from repro.serve import ShardWorker, WorkerCrash, register_forensic_ranges
+from repro.serve import ShardWorker, WorkerCrash
 
 
 def sync_json(seq: int) -> dict:
@@ -79,7 +79,7 @@ class TestCrashConvergence:
 
 
 class TestForensicRanges:
-    """The trace-driven address index mirrors the live runtime's."""
+    """The address index the bus derives from events (``observe``)."""
 
     def host_alloc(self, address=0x1000, label="a"):
         return AllocationEvent(
@@ -93,7 +93,7 @@ class TestForensicRanges:
 
     def test_host_allocation_registers_its_label(self):
         recorder = FlightRecorder()
-        register_forensic_ranges(recorder, self.host_alloc())
+        recorder.observe(self.host_alloc())
         assert recorder.resolve(0, 0x1000) == "a"
         assert recorder.resolve(0, 0x103F) == "a"
 
@@ -101,8 +101,7 @@ class TestForensicRanges:
         # Device allocs are labelled "a(CV)" / "a(image)"; registering
         # them verbatim would split fingerprints against the live path.
         recorder = FlightRecorder()
-        register_forensic_ranges(
-            recorder,
+        recorder.observe(
             AllocationEvent(
                 device_id=1,
                 thread_id=0,
@@ -116,9 +115,8 @@ class TestForensicRanges:
 
     def test_cv_registers_under_the_ov_name_at_the_alloc_data_op(self):
         recorder = FlightRecorder()
-        register_forensic_ranges(recorder, self.host_alloc())
-        register_forensic_ranges(
-            recorder,
+        recorder.observe(self.host_alloc())
+        recorder.observe(
             DataOp(
                 kind=DataOpKind.ALLOC,
                 device_id=1,
@@ -132,8 +130,7 @@ class TestForensicRanges:
 
     def test_alloc_data_op_without_known_ov_registers_nothing(self):
         recorder = FlightRecorder()
-        register_forensic_ranges(
-            recorder,
+        recorder.observe(
             DataOp(
                 kind=DataOpKind.ALLOC,
                 device_id=1,
@@ -147,9 +144,8 @@ class TestForensicRanges:
 
     def test_free_and_delete_retire_but_still_resolve(self):
         recorder = FlightRecorder()
-        register_forensic_ranges(recorder, self.host_alloc())
-        register_forensic_ranges(
-            recorder,
+        recorder.observe(self.host_alloc())
+        recorder.observe(
             AllocationEvent(
                 device_id=0,
                 thread_id=0,

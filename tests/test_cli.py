@@ -45,6 +45,9 @@ class TestParser:
             ["fig8"],
             ["fig9"],
             ["bench", "--engine", "columnar"],
+            ["chaos", "--engine", "scalar"],
+            ["report", "--engine", "scalar"],
+            ["serve", "--engine", "columnar"],
             ["diff", "a.json", "b.json", "--threshold", "0.2"],
             ["diff", "a.json", "b.json", "--history", "h.jsonl"],
             ["sentinel", "--alpha", "0.01"],
@@ -63,7 +66,6 @@ class TestParser:
         assert args.faults == 6
         assert args.suite == "all"
         assert args.target == "runtime"
-        assert args.engine == "scalar"
         # Resolved per-target at run time (BENCH_chaos.json vs
         # BENCH_serve_chaos.json), so the parser default is None.
         assert args.output is None
@@ -97,7 +99,6 @@ class TestParser:
         assert args.suite == "buggy"
         assert args.tools == "arbalest"
         assert args.shards == 4
-        assert args.engine == "columnar"
         assert args.queue_cap == 256
         assert not args.bench
         assert not args.socket
@@ -107,17 +108,11 @@ class TestParser:
         assert args.output is None
         assert args.report is None
 
-    def test_serve_engine_validation(self):
-        with pytest.raises(SystemExit) as exc_info:
-            build_parser().parse_args(["serve", "--engine", "quantum"])
-        assert exc_info.value.code == 2
-
-    def test_chaos_target_and_engine(self):
+    def test_chaos_target(self):
         args = build_parser().parse_args(
-            ["chaos", "--target", "serve", "--engine", "columnar", "--shards", "2"]
+            ["chaos", "--target", "serve", "--shards", "2"]
         )
         assert args.target == "serve"
-        assert args.engine == "columnar"
         assert args.shards == 2
         with pytest.raises(SystemExit) as exc_info:
             build_parser().parse_args(["chaos", "--target", "kernel"])

@@ -228,6 +228,7 @@ class TestMsanMechanics:
             rt.target_exit_data([from_(a)])  # poison comes back: still silent
             captured["after_d2h"] = len(msan.findings)
             _ = a[0]  # NOW the poisoned value is read by the program
+            rt.finalize()
             captured["after_read"] = len(msan.findings)
 
         run(program, tools=(MsanTool,))
