@@ -1,9 +1,11 @@
 """The serve harness: equivalence suite, bench artifact, chaos campaign."""
 
 import json
+from functools import partial
 
 import pytest
 
+import repro.harness.serve as serve_harness
 from repro.dracc import get
 from repro.harness.serve import (
     SERVE_CHAOS_KINDS,
@@ -13,6 +15,7 @@ from repro.harness.serve import (
     run_serve_chaos_campaign,
     run_serve_suite,
 )
+from repro.serve import ServerConfig
 
 #: Two quick benchmarks with very different finding shapes: 18 (stale
 #: data) and 23 (buffer overflow with multi-variable attribution).
@@ -96,7 +99,13 @@ class TestServeBench:
 
 
 class TestServeChaos:
-    def test_campaign_certifies(self):
+    @pytest.mark.parametrize("engine", ["scalar", "columnar"])
+    def test_campaign_certifies_under_both_engines(self, engine, monkeypatch):
+        # The campaign's shards run the product engine; pin the scalar
+        # reference through ServerConfig.engine, the one place it stays.
+        monkeypatch.setattr(
+            serve_harness, "ServerConfig", partial(ServerConfig, engine=engine)
+        )
         payload = run_serve_chaos_campaign(
             schedules=1,
             faults_per_schedule=4,

@@ -108,6 +108,11 @@ class TestParser:
         assert args.output is None
         assert args.report is None
 
+    def test_serve_engine_validation(self):
+        with pytest.raises(SystemExit) as exc_info:
+            build_parser().parse_args(["serve", "--engine", "quantum"])
+        assert exc_info.value.code == 2
+
     def test_chaos_target(self):
         args = build_parser().parse_args(
             ["chaos", "--target", "serve", "--shards", "2"]
