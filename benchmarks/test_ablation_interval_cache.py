@@ -1,8 +1,9 @@
-"""Ablation A2 — the interval tree's last-lookup cache (§IV.C).
+"""Ablation A2 — the interval tree's lookup cache (§IV.C).
 
 The paper's amortized-O(1) claim rests on caching the latest interval
 lookup: kernels hammer one mapped array at a time, so consecutive device
-accesses resolve to the same mapping.  This ablation measures the lookup
+accesses resolve to the same mapping.  The tree keeps the latest two, so
+an element-wise kernel alternating between two arrays still hits.  This ablation measures the lookup
 cost with the cache enabled vs forcibly disabled, on a CV-access-heavy
 kernel, and verifies the hit-rate mechanism directly.  The cache serves
 per-access delivery, so these runs pin the scalar engine: a columnar flush

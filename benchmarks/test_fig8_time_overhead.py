@@ -8,8 +8,7 @@ table computed the same way the paper reports it (factor over native).
 
 import pytest
 
-from repro.harness import CONFIGS, TOOL_FACTORIES, run_overhead_comparison
-from repro.openmp import TargetRuntime
+from repro.harness import CONFIGS, build_cell, run_overhead_comparison
 from repro.specaccel import WORKLOADS
 
 PRESET = "train"
@@ -23,12 +22,7 @@ def test_workload_under_config(benchmark, workload, config):
     benchmark.extra_info["config"] = config
 
     def run_once():
-        rt = TargetRuntime(n_devices=1)
-        if config != "native":
-            TOOL_FACTORIES[config]().attach(rt.machine)
-        out = workload.run(rt, PRESET)
-        rt.finalize()
-        return out
+        return build_cell(workload, config).run(workload, PRESET)
 
     checksum = benchmark(run_once)
     assert checksum is not None

@@ -49,6 +49,19 @@ def _unknown_suite(command: str, name: str) -> bool:
     return True
 
 
+def _parse_tools(command: str, spec: str) -> tuple[str, ...] | None:
+    """A ``--tools`` list, or ``None`` after printing the one-line error."""
+    from .tools.registry import resolve_tools
+
+    # An empty list is reported like an unknown name, as "(none)".
+    names = tuple(t.strip() for t in spec.split(",") if t.strip()) or ("(none)",)
+    try:
+        return resolve_tools(names)
+    except ValueError as exc:
+        print(f"repro {command}: error: {exc}", file=sys.stderr)
+        return None
+
+
 def _cmd_table3(args: argparse.Namespace) -> int:
     from .harness import run_precision_comparison
 
@@ -63,15 +76,9 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     from .harness import run_bench
     from .specaccel import WORKLOADS
 
-    history = None
-    if not args.no_history:
-        import os
+    from .observe.history import ledger_path
 
-        # Default: the ledger lives next to the bench artifact, so runs
-        # writing into a scratch directory keep their history there too.
-        history = args.history or os.path.join(
-            os.path.dirname(args.output) or ".", "BENCH_history.jsonl"
-        )
+    history = None if args.no_history else ledger_path(args.output, args.history)
     try:
         result, payload = run_bench(
             preset=args.preset,
@@ -243,10 +250,8 @@ def _cmd_hybrid(args: argparse.Namespace) -> int:
 
 
 def _cmd_dracc(args: argparse.Namespace) -> int:
-    from .core import Arbalest
     from .dracc import get
     from .harness import run_benchmark_under_tools
-    from .openmp import TargetRuntime
 
     try:
         bench = get(args.number)
@@ -264,9 +269,7 @@ def _cmd_dracc(args: argparse.Namespace) -> int:
     for tool, hit in result.detected.items():
         print(f"  {tool:>9}: {'DETECTED' if hit else '-'}")
     # Full ARBALEST reports for the curious.
-    rt = TargetRuntime(n_devices=2)
-    detector = Arbalest().attach(rt.machine)
-    bench.run(rt)
+    detector = result.tools["arbalest"]
     if detector.bug_reports:
         print()
         print(detector.render_reports())
@@ -444,18 +447,10 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    from .harness.precision import TOOL_FACTORIES
-
     if _unknown_suite("serve", args.suite):
         return 2
-    tools = tuple(t.strip() for t in args.tools.split(",") if t.strip())
-    unknown = [t for t in tools if t not in TOOL_FACTORIES]
-    if unknown or not tools:
-        print(
-            f"repro serve: error: unknown tool(s) {', '.join(unknown) or '(none)'} "
-            f"(valid choices: {', '.join(sorted(TOOL_FACTORIES))})",
-            file=sys.stderr,
-        )
+    tools = _parse_tools("serve", args.tools)
+    if tools is None:
         return 2
 
     if args.socket or args.stdio:
@@ -505,15 +500,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     if args.bench:
         from .harness import run_serve_bench
-
-        import os
+        from .observe.history import ledger_path
 
         output = args.output or "BENCH_serve.json"
-        history = None
-        if not args.no_history:
-            history = args.history or os.path.join(
-                os.path.dirname(output) or ".", "BENCH_history.jsonl"
-            )
+        history = None if args.no_history else ledger_path(output, args.history)
         try:
             payload = run_serve_bench(
                 suite=args.suite,
@@ -675,18 +665,11 @@ def _cmd_report(args: argparse.Namespace) -> int:
     from .forensics.html import render_html
     from .forensics.report import render_text, write_report
     from .harness import run_report
-    from .harness.precision import TOOL_FACTORIES
 
     if _unknown_suite("report", args.suite):
         return 2
-    tools = tuple(t.strip() for t in args.tools.split(",") if t.strip())
-    unknown = [t for t in tools if t not in TOOL_FACTORIES]
-    if unknown or not tools:
-        print(
-            f"repro report: error: unknown tool(s) {', '.join(unknown) or '(none)'} "
-            f"(valid choices: {', '.join(sorted(TOOL_FACTORIES))})",
-            file=sys.stderr,
-        )
+    tools = _parse_tools("report", args.tools)
+    if tools is None:
         return 2
     if args.capacity < 1:
         print(
@@ -1022,9 +1005,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     ps.add_argument(
         "--history",
-        default="BENCH_history.jsonl",
+        default=None,
         metavar="PATH",
-        help="ledger --bench appends to (default: BENCH_history.jsonl)",
+        help="ledger --bench appends to "
+        "(default: BENCH_history.jsonl next to --output)",
     )
     ps.add_argument(
         "--no-history",

@@ -163,25 +163,19 @@ class Arbalest(Tool):
         self.bug_reports: list[BugReport] = []
         self.quarantine_log: list[dict] = []
         self._alloc_info: dict[int, "AllocationEvent"] = {}
-        # Last-lookup caches, one per access side: ``(lo, hi, block, rec)``
-        # means "every address in [lo, hi) resolves to this (shadow block,
-        # mapping record) pair".  Kernels hammer one array, so these skip
-        # both interval-tree stabs on the hot path.  Invalidated on every
-        # alloc/free/map/unmap (see :meth:`_invalidate_lookup_caches`).
+        # Host-side last-lookup cache: ``(lo, hi, block, rec)`` means
+        # "every host address in [lo, hi) resolves to this (shadow block,
+        # mapping record) pair".  Invalidated on every alloc/free/map/unmap.
+        # Device lookups rely on the interval trees' own caches.
         self._lookup_host: tuple[int, int, object, MappingRecord | None] | None = None
-        self._lookup_device: tuple[int, int, object, MappingRecord] | None = None
         self._lookup_cache_hits = 0
 
     # ------------------------------------------------------------------
     # runtime data collection
     # ------------------------------------------------------------------
 
-    def _invalidate_lookup_caches(self) -> None:
-        self._lookup_host = None
-        self._lookup_device = None
-
     def on_allocation(self, event: "AllocationEvent") -> None:
-        self._invalidate_lookup_caches()
+        self._lookup_host = None
         if event.device_id == 0:
             if event.is_free:
                 self.shadows.drop(event.address)
@@ -263,7 +257,7 @@ class Arbalest(Tool):
             metrics.gauge("detector.lookup_misses", misses)
 
     def _handle_data_op(self, op: "DataOp") -> None:
-        self._invalidate_lookup_caches()
+        self._lookup_host = None
         unified = op.cv_address == op.ov_address
         if op.kind.value == "alloc":
             if (
@@ -674,28 +668,12 @@ class Arbalest(Tool):
         VSM/race checking was skipped (the §IV.D bounds check still ran).
         """
         address = access.address
-        cached = self._lookup_device
-        if cached is not None and cached[0] <= address < cached[1]:
-            block, rec = cached[2], cached[3]
-            self._lookup_cache_hits += 1
-        else:
-            rec = self.mappings.find(address)
-            if rec is None:
-                # No mapping contains even the first byte: the kernel touched
-                # device memory outside every corresponding variable.
-                self._report_overflow(access, None)
-                return False
-            if rec.certified:
-                # Certified mapping: no shadow lookup, no VSM.  Cache the
-                # CV range with a None block so repeat hits stay O(1).
-                block = None
-                self._lookup_device = (rec.cv_base, rec.cv_end, None, rec)
-            else:
-                block = self.shadows.find(
-                    rec.ov_base if rec.unified else rec.to_ov(address)
-                )
-                if block is not None:
-                    self._lookup_device = (rec.cv_base, rec.cv_end, block, rec)
+        rec = self.mappings.find(address)
+        if rec is None:
+            # No mapping contains even the first byte: the kernel touched
+            # device memory outside every corresponding variable.
+            self._report_overflow(access, None)
+            return False
         span = access.span
         in_bounds_span = min(span, rec.cv_end - address)
         if in_bounds_span < span:
@@ -705,10 +683,12 @@ class Arbalest(Tool):
             # static-assisted pruning.
             self._report_overflow(access, rec)
         if rec.certified:
+            # Certified mapping: no shadow lookup, no VSM.
             self.cert_access_skips += 1
             if rec.certified_section:
                 self.cert_section_skips += 1
             return True
+        block = self.shadows.find(rec.ov_base if rec.unified else rec.to_ov(address))
         if block is None:
             return False
         if rec.unified:
@@ -961,8 +941,8 @@ class Arbalest(Tool):
     def mapping_lookup_stats(self) -> tuple[int, int]:
         """(fast-path hits, slow-path misses) over the whole lookup stack.
 
-        Hits count both the detector's last-lookup pair cache and the
-        interval tree's own stab cache; misses are the tree descents.
+        Hits count both the detector's host-side pair cache and the
+        mapping tree's own stab cache; misses are the tree descents.
         """
         hits, misses = self.mappings.lookup_stats
         return hits + self._lookup_cache_hits, misses

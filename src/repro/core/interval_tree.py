@@ -1,10 +1,11 @@
-"""Self-balancing interval tree with a last-lookup cache.
+"""Self-balancing interval tree with a two-entry lookup cache.
 
 ARBALEST "uses an interval tree to maintain the relationship between OV and
 CV" (§IV.C): every device access must find, from a raw device address, the
 mapped section it belongs to, in O(log m) for m live mappings — and because
 kernels hammer the same few arrays, the paper amortizes that to O(1) with a
-cache of the latest lookup.
+cache of the latest lookup.  The cache here keeps the latest *two*, since
+an element-wise ``A[i] = A[i] + B[i]`` alternates between two mappings.
 
 The tree stores *non-overlapping, half-open* intervals ``[lo, hi)`` with an
 arbitrary payload.  Balancing is AVL (height-bound 1.44·log2 m); since the
@@ -91,8 +92,9 @@ class IntervalTree(Generic[T]):
     def __init__(self) -> None:
         self._root: "_Node[T] | None" = None
         self._len = 0
-        # Last successful stab, for the amortized-O(1) fast path.
+        # The two latest successful stabs, most recent first.
         self._cached: "_Node[T] | None" = None
+        self._cached2: "_Node[T] | None" = None
         self.cache_hits = 0
         self.cache_misses = 0
 
@@ -131,6 +133,8 @@ class IntervalTree(Generic[T]):
         self._len -= 1
         if self._cached is not None and self._cached.lo == lo:
             self._cached = None
+        if self._cached2 is not None and self._cached2.lo == lo:
+            self._cached2 = None
         return removed[0]
 
     def _remove(
@@ -163,11 +167,17 @@ class IntervalTree(Generic[T]):
     def stab(self, point: int) -> T | None:
         """Payload of the interval containing ``point``, or ``None``.
 
-        Amortized O(1): the previous hit is re-checked before descending.
+        Amortized O(1): the two previous hits are re-checked before
+        descending, and a hit becomes the most recent one.
         """
         cached = self._cached
         if cached is not None and cached.lo <= point < cached.hi:
             self.cache_hits += 1
+            return cached.value
+        cached = self._cached2
+        if cached is not None and cached.lo <= point < cached.hi:
+            self.cache_hits += 1
+            self._cached2, self._cached = self._cached, cached
             return cached.value
         self.cache_misses += 1
         node = self._root
@@ -177,26 +187,17 @@ class IntervalTree(Generic[T]):
             elif point >= node.hi:
                 node = node.right
             else:
-                self._cached = node
+                self._cached2, self._cached = self._cached, node
                 return node.value
         return None
 
     def interval_of(self, point: int) -> tuple[int, int, T] | None:
         """``(lo, hi, payload)`` of the interval containing ``point``."""
-        cached = self._cached
-        if cached is not None and cached.lo <= point < cached.hi:
-            self.cache_hits += 1
-            return cached.lo, cached.hi, cached.value
-        self.cache_misses += 1
-        node = self._root
-        while node is not None:
-            if point < node.lo:
-                node = node.left
-            elif point >= node.hi:
-                node = node.right
-            else:
-                self._cached = node
-                return node.lo, node.hi, node.value
+        self.stab(point)
+        # A successful stab leaves its node as the most recent hit.
+        node = self._cached
+        if node is not None and node.lo <= point < node.hi:
+            return node.lo, node.hi, node.value
         return None
 
     def first_overlap(self, lo: int, hi: int) -> tuple[int, int, T] | None:
@@ -226,8 +227,8 @@ class IntervalTree(Generic[T]):
         return walk(self._root)
 
     def clear_cache(self) -> None:
-        """Drop the last-lookup cache (ablation A2 disables it this way)."""
-        self._cached = None
+        """Drop the lookup cache (ablation A2 disables it this way)."""
+        self._cached = self._cached2 = None
 
     @property
     def height(self) -> int:

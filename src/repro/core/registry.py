@@ -8,7 +8,7 @@ The detector must answer two address questions on its hot path:
   which OV granules carry its state — or is it a buffer overflow?
 
 Both are interval stabbing queries; both use one
-:class:`~repro.core.interval_tree.IntervalTree` with its last-lookup cache,
+:class:`~repro.core.interval_tree.IntervalTree` with its lookup cache,
 which is what turns the O(log m) lookup into the amortized O(1) the paper
 claims (§IV.C).
 """
@@ -155,7 +155,7 @@ class MappingRegistry:
         return self._tree.cache_hits, self._tree.cache_misses
 
     def disable_cache_for_ablation(self) -> None:
-        """Monkey-path hook used by ablation A2: clear the cache every stab."""
+        """Ablation A2's hook: clear the tree's cache before every stab."""
         tree = self._tree
         original = tree.stab
 

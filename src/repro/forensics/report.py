@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 
+from ..observe.history import write_atomic
 from ..tools.findings import Finding
 
 #: Artifact schema tag; bump on incompatible layout changes.
@@ -109,13 +110,8 @@ def parse_jsonl(text: str) -> dict:
 
 
 def write_report(payload: dict, path: str) -> None:
-    """Atomic write of the JSONL artifact (tmp + rename, like the benches)."""
-    import os
-
-    tmp = f"{path}.tmp"
-    with open(tmp, "w") as fh:
-        fh.write(to_jsonl(payload))
-    os.replace(tmp, path)
+    """Atomic write of the JSONL artifact (the benches' writer)."""
+    write_atomic(path, to_jsonl(payload))
 
 
 def load_report(path: str) -> dict:

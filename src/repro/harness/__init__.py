@@ -12,6 +12,7 @@ from .overhead import (
     Measurement,
     OverheadResult,
     bench_payload,
+    build_cell,
     measure_one,
     run_bench,
     run_overhead_comparison,
@@ -39,10 +40,9 @@ from .serve import (
     run_serve_chaos_campaign,
     run_serve_suite,
 )
+from ..tools.registry import TOOL_FACTORIES, TOOL_ORDER
 from .precision import (
     EXPECTED_DETECTIONS,
-    TOOL_FACTORIES,
-    TOOL_ORDER,
     BenchmarkResult,
     PrecisionResult,
     run_benchmark_under_tools,
@@ -62,6 +62,7 @@ __all__ = [
     "run_bench",
     "bench_payload",
     "measure_one",
+    "build_cell",
     "OverheadResult",
     "Measurement",
     "CONFIGS",

@@ -27,8 +27,6 @@ reproducible from the seed alone.
 
 from __future__ import annotations
 
-import json
-import os
 import random
 from typing import Iterable
 
@@ -37,6 +35,7 @@ from ..dracc.registry import DraccBenchmark, suite as dracc_suite
 from ..events.bus import ENGINE
 from ..faults.injector import FaultInjector
 from ..faults.plan import FaultPlan
+from ..observe.history import write_artifact
 from ..openmp.runtime import TargetRuntime
 
 #: Upper bound asserted on the fraction of event-faulted runs whose
@@ -247,11 +246,7 @@ def run_chaos(
             faults_per_schedule=faults_per_schedule,
             suite=suite,
         )
-    tmp = output + ".tmp"
-    with open(tmp, "w") as sink:
-        json.dump(payload, sink, indent=2, sort_keys=True)
-        sink.write("\n")
-    os.replace(tmp, output)
+    write_artifact(output, payload)
     if report is not None:
         from ..forensics.report import write_report
         from .report import run_report

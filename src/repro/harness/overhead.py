@@ -19,23 +19,85 @@ makes them diverge.
 from __future__ import annotations
 
 import gc
-import json
 import os
 import time
-from contextlib import nullcontext
+from contextlib import AbstractContextManager, nullcontext
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Callable, Iterable
 
+from ..core.detector import Arbalest
 from ..events.bus import ENGINE
-from ..observe.history import append_history, run_meta
+from ..forensics import FlightRecorder
+from ..observe.history import append_history, run_meta, write_artifact
 from ..observe.core import scope
 from ..observe.prof import DEFAULT_STRIDE, Governor, Profiler
 from ..openmp.runtime import TargetRuntime
 from ..specaccel.workloads import WORKLOADS, Workload
-from .precision import TOOL_FACTORIES, TOOL_ORDER
+from ..tools.registry import TOOL_FACTORIES
 from .tables import render_ratio_chart, render_table
 
-#: Fig 8/9 column order: native baseline first, then the tools, then the
+
+@dataclass
+class Cell:
+    """One (workload, config) run, armed: a fresh runtime with its tools."""
+
+    rt: TargetRuntime
+    #: The observation the run executes under (recorder, profiler).
+    run_scope: AbstractContextManager = field(default_factory=nullcontext)
+    #: The configuration's analysis bytes once the run is over (Fig 9).
+    shadow_bytes: Callable[[], int] = lambda: 0
+
+    def run(self, workload: Workload, preset: str) -> object:
+        """Run the workload to completion; returns its checksum."""
+        with self.run_scope:
+            checksum = workload.run(self.rt, preset)
+            self.rt.finalize()
+        return checksum
+
+
+def _tool_setup(name: str) -> Callable[..., Cell]:
+    def setup(rt, workload, profiler):
+        tool = TOOL_FACTORIES[name]().attach(rt.machine)
+        return Cell(rt, shadow_bytes=tool.shadow_bytes)
+
+    return setup
+
+
+def _cert_setup(rt, workload, profiler):
+    from ..staticlint import spec_certificates
+
+    # Workloads whose twin certifies nothing (postencil, polbm: pointer
+    # swaps) run at plain-arbalest cost — honestly.
+    certificate = spec_certificates().get(workload.name)
+    tool = Arbalest(certificate=certificate).attach(rt.machine)
+    return Cell(rt, shadow_bytes=tool.shadow_bytes)
+
+
+def _rec_setup(rt, workload, profiler):
+    tool = Arbalest().attach(rt.machine)
+    recorder = FlightRecorder()
+    return Cell(
+        rt,
+        run_scope=scope(recorder=recorder),
+        shadow_bytes=lambda: tool.shadow_bytes() + recorder.shadow_bytes(),
+    )
+
+
+def _prof_setup(rt, workload, profiler):
+    tool = Arbalest().attach(rt.machine)
+    # Continuous profiling exactly as production runs it: governor armed
+    # at the default budget.  The caller may share one profiler across
+    # cells (the aggregate feeds the flamegraph).
+    if profiler is None:
+        profiler = Profiler(stride=DEFAULT_STRIDE, governor=Governor())
+    profiler.set_context(benchmark=workload.name, phase="host")
+    return Cell(
+        rt, run_scope=scope(profiler=profiler), shadow_bytes=tool.shadow_bytes
+    )
+
+
+#: Every Fig 8/9 configuration, defined once; the key order is the column
+#: order.  Native baseline first, then the Table III tools, then the
 #: static-assisted detector (ARBALEST pruned by each workload twin's
 #: SafetyCertificate — the staticlint speedup the tracked bench records),
 #: then ARBALEST with the forensics flight recorder active (the tracked
@@ -43,7 +105,15 @@ from .tables import render_ratio_chart, render_table
 #: arbalest, which ``repro sentinel`` watches), then ARBALEST with the
 #: continuous profiler sampling (governor at default budget — the tracked
 #: profiler-tax number, gated at a couple percent over plain arbalest).
-CONFIGS = ("native", *TOOL_ORDER, "arbalest-cert", "arbalest-rec", "arbalest-prof")
+CELL_SETUPS: dict[str, Callable[..., Cell]] = {
+    "native": lambda rt, workload, profiler: Cell(rt),
+    **{name: _tool_setup(name) for name in TOOL_FACTORIES},
+    "arbalest-cert": _cert_setup,
+    "arbalest-rec": _rec_setup,
+    "arbalest-prof": _prof_setup,
+}
+
+CONFIGS = tuple(CELL_SETUPS)
 
 #: The ``large`` preset's element-wise twins make the full matrix too slow
 #: for CI, so it runs the detector configurations only.
@@ -144,6 +214,14 @@ class OverheadResult:
         return True
 
 
+def build_cell(
+    workload: Workload, config: str, *, profiler: Profiler | None = None
+) -> Cell:
+    """A fresh single-device runtime with ``config``'s tools attached
+    (``profiler``: the one ``arbalest-prof`` cells share, else private)."""
+    return CELL_SETUPS[config](TargetRuntime(n_devices=1), workload, profiler)
+
+
 def measure_one(
     workload: Workload,
     config: str,
@@ -155,40 +233,7 @@ def measure_one(
     """One (workload, tool) cell: fresh machine, attach, run, account."""
     best = None
     for _ in range(max(1, repetitions)):
-        rt = TargetRuntime(n_devices=1)
-        tool = None
-        recorder = None
-        run_scope = nullcontext()
-        if config == "arbalest-prof":
-            from ..core.detector import Arbalest
-
-            tool = Arbalest().attach(rt.machine)
-            # Continuous profiling exactly as production runs it: governor
-            # armed at the default budget.  The caller may share one
-            # profiler across cells (the aggregate feeds the flamegraph).
-            if profiler is None:
-                profiler = Profiler(
-                    stride=DEFAULT_STRIDE, governor=Governor()
-                )
-            profiler.set_context(benchmark=workload.name, phase="host")
-            run_scope = scope(profiler=profiler)
-        elif config == "arbalest-cert":
-            from ..core.detector import Arbalest
-            from ..staticlint import spec_certificates
-
-            # Workloads whose twin certifies nothing (postencil, polbm:
-            # pointer swaps) run at plain-arbalest cost — honestly.
-            certificate = spec_certificates().get(workload.name)
-            tool = Arbalest(certificate=certificate).attach(rt.machine)
-        elif config == "arbalest-rec":
-            from ..core.detector import Arbalest
-            from ..forensics import FlightRecorder
-
-            tool = Arbalest().attach(rt.machine)
-            recorder = FlightRecorder()
-            run_scope = scope(recorder=recorder)
-        elif config != "native":
-            tool = TOOL_FACTORIES[config]().attach(rt.machine)
+        cell = build_cell(workload, config, profiler=profiler)
         # Collector pauses are the dominant run-to-run jitter at these
         # millisecond scales; park the GC for the timed window so the
         # native/instrumented ratio measures the tools, not the allocator.
@@ -197,23 +242,18 @@ def measure_one(
         gc.disable()
         try:
             start = time.perf_counter()
-            with run_scope:
-                checksum = workload.run(rt, preset)
-                rt.finalize()
+            checksum = cell.run(workload, preset)
             elapsed = time.perf_counter() - start
         finally:
             if gc_was_enabled:
                 gc.enable()
-        app_bytes = sum(d.allocator.peak_bytes for d in rt.machine.devices.values())
-        shadow = tool.shadow_bytes() if tool is not None else 0
-        if recorder is not None:
-            shadow += recorder.shadow_bytes()
+        devices = cell.rt.machine.devices.values()
         m = Measurement(
             workload=workload.name,
             config=config,
             seconds=elapsed,
-            app_bytes=app_bytes,
-            shadow_bytes=shadow,
+            app_bytes=sum(d.allocator.peak_bytes for d in devices),
+            shadow_bytes=cell.shadow_bytes(),
             checksum=checksum,
         )
         if best is None or m.seconds < best.seconds:
@@ -380,9 +420,7 @@ def run_bench(
     payload = bench_payload(result, repetitions=repetitions)
     if observation is not None:
         payload["telemetry"] = observation.snapshot()
-    with open(output, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=False)
-        fh.write("\n")
+    write_artifact(output, payload)
     if flamegraph is not None and result.profiler is not None:
         from ..observe.flame import write_flamegraph
 

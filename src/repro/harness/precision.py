@@ -13,9 +13,8 @@ the regeneration can diff itself against the publication.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping
+from typing import Iterable, Mapping
 
-from ..core.detector import Arbalest
 from ..dracc.registry import (
     TABLE3_BO,
     TABLE3_USD,
@@ -24,23 +23,9 @@ from ..dracc.registry import (
     all_benchmarks,
 )
 from ..openmp.runtime import TargetRuntime
-from ..tools.archer import ArcherTool
-from ..tools.asan import AsanTool
 from ..tools.base import Tool
-from ..tools.msan import MsanTool
-from ..tools.valgrind import ValgrindTool
+from ..tools.registry import TOOL_FACTORIES, TOOL_ORDER, resolve_tools
 from .tables import render_table
-
-#: Evaluation order of Table III's columns.
-TOOL_ORDER = ("arbalest", "valgrind", "archer", "asan", "msan")
-
-TOOL_FACTORIES: dict[str, Callable[[], Tool]] = {
-    "arbalest": Arbalest,
-    "valgrind": ValgrindTool,
-    "archer": ArcherTool,
-    "asan": AsanTool,
-    "msan": MsanTool,
-}
 
 #: Which tools the paper reports as detecting each Table III row.
 EXPECTED_DETECTIONS: dict[str, frozenset[str]] = {
@@ -57,9 +42,8 @@ class BenchmarkResult:
     detected: dict[str, bool]
     #: tool name -> every finding (incl. races), for false-positive checks.
     all_findings: dict[str, int]
-    #: tool name -> deduped findings paired with per-site report counts
-    #: (how many raw reports each surviving finding absorbed).
-    findings_with_counts: dict[str, list] = field(default_factory=dict)
+    #: tool name -> the tool instance as it ended the run.
+    tools: dict[str, Tool] = field(default_factory=dict)
 
 
 @dataclass
@@ -135,7 +119,10 @@ def run_benchmark_under_tools(
 ) -> BenchmarkResult:
     """Run one benchmark with the named tools attached to a fresh machine."""
     rt = TargetRuntime(n_devices=2)
-    tools = {name: TOOL_FACTORIES[name]().attach(rt.machine) for name in tool_names}
+    tools = {
+        name: TOOL_FACTORIES[name]().attach(rt.machine)
+        for name in resolve_tools(tool_names)
+    }
     benchmark.run(rt)
     return BenchmarkResult(
         benchmark=benchmark,
@@ -143,9 +130,7 @@ def run_benchmark_under_tools(
             name: bool(tool.mapping_issue_findings()) for name, tool in tools.items()
         },
         all_findings={name: len(tool.findings) for name, tool in tools.items()},
-        findings_with_counts={
-            name: tool.findings_with_counts() for name, tool in tools.items()
-        },
+        tools=tools,
     )
 
 

@@ -22,12 +22,11 @@ seconds.
 
 from __future__ import annotations
 
-import json
-
 from ..core.detector import Arbalest
 from ..dracc.registry import all_benchmarks, get as dracc_get
 from ..openmp.runtime import TargetRuntime
-from ..observe.core import chrome_trace, scope, self_times, write_trace
+from ..observe.core import chrome_trace, scope, self_times
+from ..observe.history import write_artifact
 from ..specaccel.workloads import WORKLOADS, workload as workload_get
 
 #: Valid ``--suite`` selections for the profile CLI.
@@ -88,13 +87,10 @@ def run_profile(
             metrics.gauge(f"detector.{key}", value)
         metrics.gauge("detector.shadow_bytes", detector.shadow_bytes())
 
-    with open(output, "w") as sink:
-        write_trace(chrome_trace([obs.spans]), sink)
+    write_artifact(output, chrome_trace([obs.spans]))
     snapshot = obs.snapshot()
     if metrics_output is not None:
-        with open(metrics_output, "w") as sink:
-            json.dump(snapshot, sink, indent=2, sort_keys=True)
-            sink.write("\n")
+        write_artifact(metrics_output, snapshot)
 
     return {
         "suite": suite,

@@ -22,7 +22,7 @@ from ..forensics import DEFAULT_CAPACITY, FlightRecorder
 from ..observe.core import scope
 from ..forensics.report import SCHEMA, build_summary, finding_entry
 from ..openmp.runtime import TargetRuntime
-from .precision import TOOL_FACTORIES
+from ..tools.registry import TOOL_FACTORIES, resolve_tools
 
 
 def run_report(
@@ -37,13 +37,7 @@ def run_report(
     Findings are ordered by (benchmark registry order, requested tool
     order, report order within the tool) — fully deterministic.
     """
-    tools = tuple(tools)
-    unknown = [t for t in tools if t not in TOOL_FACTORIES]
-    if unknown:
-        raise ValueError(
-            f"unknown tool(s) {', '.join(unknown)} "
-            f"(valid choices: {', '.join(sorted(TOOL_FACTORIES))})"
-        )
+    tools = resolve_tools(tools)
     benches = tuple(benchmarks) if benchmarks is not None else dracc_suite(suite)
     findings: list[dict] = []
     for bench in benches:

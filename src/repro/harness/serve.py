@@ -25,8 +25,6 @@ over the loopback transport):
 from __future__ import annotations
 
 import io
-import json
-import os
 import random
 import time
 from typing import Iterable
@@ -37,15 +35,11 @@ from ..events.trace_io import TraceWriter, read_trace
 from ..faults.plan import FaultKind, FaultPlan
 from ..forensics.recorder import FlightRecorder
 from ..observe.core import scope
+from ..observe.history import append_history, run_meta, write_artifact
 from ..forensics.report import SCHEMA, build_summary, finding_entry
 from ..openmp.runtime import TargetRuntime
-from ..serve import (
-    DEFAULT_TOOLS,
-    AnalysisServer,
-    LoopbackTransport,
-    ServeClient,
-    ServerConfig,
-)
+from ..serve import AnalysisServer, LoopbackTransport, ServeClient, ServerConfig
+from ..tools.registry import TOOL_FACTORIES, resolve_tools
 
 #: Serve fault kinds in deterministic generation order (the frozenset in
 #: :mod:`repro.faults.plan` has no order; plans must).
@@ -81,7 +75,7 @@ def baseline_fingerprints(
     fingerprint — matches both the served path and the live
     golden-report path.
     """
-    instances = {name: DEFAULT_TOOLS[name]() for name in tools}
+    instances = {name: TOOL_FACTORIES[name]() for name in resolve_tools(tools)}
     bus = ToolBus()
     for tool in instances.values():
         bus.attach(tool)
@@ -312,17 +306,11 @@ def run_serve_bench(
         payload["observability"] = {"enabled": False}
     if observer is not None and observer.profiler is not None:
         payload["profile"] = observer.profiler.stats()
-    from ..observe.history import append_history, run_meta
-
     payload["meta"] = run_meta(
         engine=ENGINE, suite=suite, n_shards=n_shards, tools=list(tools)
     )
     if output is not None:
-        tmp = output + ".tmp"
-        with open(tmp, "w") as sink:
-            json.dump(payload, sink, indent=2, sort_keys=True)
-            sink.write("\n")
-        os.replace(tmp, output)
+        write_artifact(output, payload)
     if history is not None:
         append_history(history, payload)
     return payload
@@ -378,7 +366,7 @@ def run_serve_chaos_campaign(
       lands in one campaign-wide JSONL stream (``log_output``).
     """
     from ..observe import CHAOS_SLOS, ServeObserver
-    from ..observe.core import chrome_trace, spans_by_frame, write_trace
+    from ..observe.core import chrome_trace, spans_by_frame
 
     tools = tuple(tools)
     benches = tuple(benchmarks) if benchmarks is not None else dracc_suite(suite)
@@ -532,8 +520,7 @@ def run_serve_chaos_campaign(
             log_sink.close()
 
     if stitched is not None and trace_output is not None:
-        with open(trace_output, "w") as sink:
-            write_trace(stitched, sink)
+        write_artifact(trace_output, stitched)
 
     payload = {
         "seed": seed,
@@ -636,9 +623,5 @@ def run_serve_chaos(
         trace_output=trace_output,
         log_output=log_output,
     )
-    tmp = output + ".tmp"
-    with open(tmp, "w") as sink:
-        json.dump(payload, sink, indent=2, sort_keys=True)
-        sink.write("\n")
-    os.replace(tmp, output)
+    write_artifact(output, payload)
     return payload

@@ -29,7 +29,6 @@ from .core import (
     chrome_trace,
     scope,
     spans_by_frame,
-    write_trace,
 )
 from .health import healthz, readyz
 from .log import ObserveLog
@@ -55,5 +54,4 @@ __all__ = [
     "readyz",
     "scope",
     "spans_by_frame",
-    "write_trace",
 ]

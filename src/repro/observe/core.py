@@ -39,11 +39,10 @@ at span boundaries, trading determinism for real self-time profiles.
 
 from __future__ import annotations
 
-import json
 import time
 from collections import defaultdict
 from contextlib import contextmanager
-from typing import IO, Iterable, Iterator
+from typing import Iterable, Iterator
 
 #: The active observation, or ``None`` (observability off).  Sites read it
 #: through the module (``_obs.ACTIVE``), never as a from-import, which would
@@ -361,12 +360,6 @@ def chrome_trace(logs: Iterable[SpanLog]) -> dict:
             "processes": [log.process for log in ordered],
         },
     }
-
-
-def write_trace(document: dict, sink: IO[str]) -> None:
-    """Write a :func:`chrome_trace` document (sorted keys — byte-stable)."""
-    json.dump(document, sink, indent=2, sort_keys=True)
-    sink.write("\n")
 
 
 def spans_by_frame(document: dict) -> dict[tuple[int, int], list[dict]]:

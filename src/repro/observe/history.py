@@ -201,3 +201,30 @@ def append_history(path: str, payload: dict) -> dict:
     with open(path, "a", encoding="utf-8") as handle:
         handle.write(json.dumps(entry, sort_keys=True) + "\n")
     return entry
+
+
+def ledger_path(output: str, history: str | None) -> str:
+    """``history``, else the ledger next to ``output`` (a scratch run
+    keeps its history in its scratch directory, not the tracked ledger)."""
+    if history is not None:
+        return history
+    return os.path.join(os.path.dirname(output) or ".", DEFAULT_HISTORY)
+
+
+def write_atomic(path: str, text: str) -> None:
+    """Replace ``path`` with ``text``: a failed or killed write leaves the
+    previous file intact and no temporary file behind."""
+    tmp = path + ".tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as sink:
+            sink.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
+def write_artifact(path: str, payload: dict) -> None:
+    """Write a JSON artifact atomically: sorted keys, trailing newline."""
+    write_atomic(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")

@@ -44,7 +44,7 @@ from .journal import ShardJournal
 from .net import serve_connection, serve_socket, serve_stdio
 from .router import AddressRouter
 from .server import AnalysisServer, ServerConfig
-from .shard import DEFAULT_TOOLS, ShardWorker, WorkerCrash
+from .shard import ShardWorker, WorkerCrash
 from .supervisor import Supervisor
 from .transport import LoopbackTransport
 
@@ -61,7 +61,6 @@ __all__ = [
     "RetryPolicy",
     "DeliveryError",
     "LoopbackTransport",
-    "DEFAULT_TOOLS",
     "serve_socket",
     "serve_stdio",
     "serve_connection",

@@ -31,6 +31,7 @@ from dataclasses import dataclass, field
 from ..events.wire import Frame, FrameDecoder, FrameKind, json_payload
 from ..forensics.ledger import DeliveryLedger
 from ..observe import core as _obs
+from ..tools.registry import resolve_tools
 from .supervisor import Supervisor
 
 __all__ = ["AnalysisServer", "ServerConfig", "ServerConnection"]
@@ -45,6 +46,9 @@ class ServerConfig:
     tools: tuple[str, ...] = ("arbalest",)
     #: Reorder-buffer (inbound queue) capacity per session, in frames.
     queue_cap: int = 256
+
+    def __post_init__(self) -> None:
+        resolve_tools(self.tools)  # fail at configuration, not first session
 
 
 @dataclass

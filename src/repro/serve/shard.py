@@ -22,37 +22,21 @@ same detector state after :meth:`restart` replays the journal.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable
+from typing import Iterable
 
-from ..core.detector import Arbalest
 from ..events.bus import ToolBus
 from ..events.trace_io import event_from_json
 from ..forensics.recorder import FlightRecorder
 from ..observe import core as _obs
-from ..tools.archer import ArcherTool
-from ..tools.asan import AsanTool
 from ..tools.base import Tool
 from ..tools.findings import Finding
-from ..tools.msan import MsanTool
-from ..tools.valgrind import ValgrindTool
+from ..tools.registry import TOOL_FACTORIES, resolve_tools
 from .journal import ShardJournal
 
 __all__ = [
     "ShardWorker",
     "WorkerCrash",
-    "DEFAULT_TOOLS",
 ]
-
-#: Tool factories the server can host, mirroring the harness's Table III
-#: set but defined here (from the tool modules directly) so the serve
-#: package never imports the harness.
-DEFAULT_TOOLS: dict[str, Callable[[], Tool]] = {
-    "arbalest": Arbalest,
-    "valgrind": ValgrindTool,
-    "archer": ArcherTool,
-    "asan": AsanTool,
-    "msan": MsanTool,
-}
 
 
 class WorkerCrash(RuntimeError):
@@ -101,13 +85,7 @@ class ShardWorker:
         #: enclosing one it was built under (rebuilt when that changes).
         self._active: _obs.Observation | None = None
         self._outer: _obs.Observation | None = None
-        self.tool_names = tuple(tools)
-        unknown = [t for t in self.tool_names if t not in DEFAULT_TOOLS]
-        if unknown:
-            raise ValueError(
-                f"unknown tool(s) {', '.join(unknown)} "
-                f"(valid choices: {', '.join(sorted(DEFAULT_TOOLS))})"
-            )
+        self.tool_names = resolve_tools(tools)
         self.journal = journal if journal is not None else ShardJournal(shard_id)
         self.alive = False
         self.restarts = 0
@@ -139,7 +117,7 @@ class ShardWorker:
         self._active = None
         self.tools: dict[str, Tool] = {}
         for name in self.tool_names:
-            tool = DEFAULT_TOOLS[name]()
+            tool = TOOL_FACTORIES[name]()
             self.bus.attach(tool)
             self.tools[name] = tool
         self._dispatch = self.bus.publishers()

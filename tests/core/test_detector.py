@@ -389,7 +389,11 @@ class TestLookupCacheInvalidation:
         rec = det.mappings.find(self.CV)
         self.touch(det)
         assert det._lookup_host is not None and det._lookup_host[2] is block
-        assert det._lookup_device is not None and det._lookup_device[3] is rec
+        # The device side is served by the mapping tree's own cache.
+        hits, misses = det.mappings.lookup_stats
+        self.touch(det)
+        assert det.mappings.lookup_stats == (hits + 1, misses)
+        assert det.mappings.find(self.CV) is rec
 
     def test_unmap_and_free_invalidate(self):
         det = self.detector()
@@ -397,10 +401,10 @@ class TestLookupCacheInvalidation:
         self.map_(det)
         self.touch(det)
         self.unmap(det)
-        assert det._lookup_host is None and det._lookup_device is None
+        assert det._lookup_host is None and det.mappings.find(self.CV) is None
         self.touch(det)  # re-primes the host cache (mapping gone)
         self.free(det)
-        assert det._lookup_host is None and det._lookup_device is None
+        assert det._lookup_host is None and det.shadows.find(self.OV) is None
 
     def test_reallocate_same_base_yields_fresh_pair(self):
         # allocate -> map -> access -> unmap/free -> reallocate at the SAME
@@ -421,8 +425,6 @@ class TestLookupCacheInvalidation:
         rec2 = det.mappings.find(self.CV)
         assert block2 is not block1 and rec2 is not rec1
         assert det._lookup_host[2] is block2
-        assert det._lookup_device[2] is block2
-        assert det._lookup_device[3] is rec2
 
 
 class TestDoubleDelete:

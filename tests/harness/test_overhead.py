@@ -139,3 +139,24 @@ class TestRunBench:
         assert on_disk == payload
         assert on_disk["preset"] == "test"
         assert on_disk["engine"] == on_disk["meta"]["engine"] == "columnar"
+
+    def test_failed_write_keeps_previous_artifact(self, tmp_path, monkeypatch):
+        import repro.harness.overhead as overhead_mod
+
+        out = tmp_path / "BENCH_fig8.json"
+        out.write_text('{"previous": true}\n')
+        monkeypatch.setattr(
+            overhead_mod,
+            "run_overhead_comparison",
+            lambda preset, repetitions: overhead_mod.OverheadResult(preset=preset),
+        )
+        # A value json cannot encode makes the dump fail part-way through.
+        monkeypatch.setattr(
+            overhead_mod,
+            "bench_payload",
+            lambda result, repetitions: {"summary": {}, "workloads": object()},
+        )
+        with pytest.raises(TypeError):
+            run_bench(preset="test", repetitions=1, output=str(out))
+        assert out.read_text() == '{"previous": true}\n'
+        assert [p.name for p in tmp_path.iterdir()] == ["BENCH_fig8.json"]

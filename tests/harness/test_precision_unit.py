@@ -40,6 +40,14 @@ class TestSingleBenchmarkRunner:
         r2 = run_benchmark_under_tools(get(22), ["arbalest"])
         assert r1.detected == r2.detected
 
+    def test_unknown_tool_gets_the_one_message(self):
+        from repro.harness.serve import baseline_fingerprints
+
+        with pytest.raises(ValueError, match=r"unknown tool\(s\) gdb \(valid"):
+            run_benchmark_under_tools(get(1), ["arbalest", "gdb"])
+        with pytest.raises(ValueError, match=r"unknown tool\(s\) gdb \(valid"):
+            baseline_fingerprints([], ["gdb"])
+
     def test_all_findings_counts_races_too(self):
         # all_findings counts everything, detected only mapping issues.
         result = run_benchmark_under_tools(get(1), ["archer"])

@@ -77,6 +77,16 @@ class TestCrashConvergence:
         with pytest.raises(ValueError, match="unknown tool"):
             ShardWorker(0, tools=("gdb",))
 
+    def test_server_config_rejects_unknown_tool_when_constructed(self):
+        from repro.serve import ServerConfig
+
+        with pytest.raises(ValueError) as exc_info:
+            ServerConfig(tools=("arbalest", "gdb"))
+        assert str(exc_info.value) == (
+            "unknown tool(s) gdb "
+            "(valid choices: arbalest, archer, asan, msan, valgrind)"
+        )
+
 
 class TestForensicRanges:
     """The address index the bus derives from events (``observe``)."""

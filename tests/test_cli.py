@@ -259,6 +259,53 @@ class TestCommands:
         out = capsys.readouterr().out
         assert ("SLO watchdog still burning" in out) == bool(burning)
 
+    def test_serve_bench_ledger_sits_next_to_output(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        import repro.harness
+
+        seen = {}
+
+        def fake_bench(**kwargs):
+            seen.update(kwargs)
+            return {
+                "suite": "buggy",
+                "engine": "columnar",
+                "n_shards": 4,
+                "events": 10,
+                "frames": 2,
+                "delivery_ok": True,
+                "summary": {
+                    "events_per_sec": 1.0,
+                    "p50_frame_latency_us": 1.0,
+                    "p99_frame_latency_us": 1.0,
+                },
+                "observability": {"enabled": True, "watchdog": {"burning": []}},
+            }
+
+        monkeypatch.setattr(repro.harness, "run_serve_bench", fake_bench)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "scratch").mkdir()
+        output = str(tmp_path / "scratch" / "x.json")
+        assert main(["serve", "--bench", "--output", output]) == 0
+        assert seen["history"] == str(tmp_path / "scratch" / "BENCH_history.jsonl")
+        assert main(["serve", "--bench", "--output", output, "--history", "h.jsonl"]) == 0
+        assert seen["history"] == "h.jsonl"
+
+    def test_dracc_runs_the_benchmark_once(self, capsys, monkeypatch):
+        from repro.dracc.registry import DraccBenchmark
+
+        runs = []
+        original = DraccBenchmark.run
+        monkeypatch.setattr(
+            DraccBenchmark,
+            "run",
+            lambda self, rt: runs.append(self.number) or original(self, rt),
+        )
+        assert main(["dracc", "22"]) == 0
+        assert runs == [22]
+        assert "uninitialized" in capsys.readouterr().out
+
     def test_chaos_campaign(self, capsys, tmp_path):
         import json
 
