@@ -163,19 +163,12 @@ class Arbalest(Tool):
         self.bug_reports: list[BugReport] = []
         self.quarantine_log: list[dict] = []
         self._alloc_info: dict[int, "AllocationEvent"] = {}
-        # Host-side last-lookup cache: ``(lo, hi, block, rec)`` means
-        # "every host address in [lo, hi) resolves to this (shadow block,
-        # mapping record) pair".  Invalidated on every alloc/free/map/unmap.
-        # Device lookups rely on the interval trees' own caches.
-        self._lookup_host: tuple[int, int, object, MappingRecord | None] | None = None
-        self._lookup_cache_hits = 0
 
     # ------------------------------------------------------------------
     # runtime data collection
     # ------------------------------------------------------------------
 
     def on_allocation(self, event: "AllocationEvent") -> None:
-        self._lookup_host = None
         if event.device_id == 0:
             if event.is_free:
                 self.shadows.drop(event.address)
@@ -257,7 +250,6 @@ class Arbalest(Tool):
             metrics.gauge("detector.lookup_misses", misses)
 
     def _handle_data_op(self, op: "DataOp") -> None:
-        self._lookup_host = None
         unified = op.cv_address == op.ov_address
         if op.kind.value == "alloc":
             if (
@@ -616,38 +608,16 @@ class Arbalest(Tool):
         allocation and all dynamic checking was skipped.
         """
         address = access.address
-        cached = self._lookup_host
-        if cached is not None and cached[0] <= address < cached[1]:
-            block, rec = cached[2], cached[3]
-            self._lookup_cache_hits += 1
-            if block is None:
+        block = self.shadows.find(address)
+        if block is None:
+            if self.shadows.skipped_range(address) is not None:
                 # Certified allocation: no shadow block exists by design.
                 self.cert_access_skips += 1
                 return True
-        else:
-            block = self.shadows.find(address)
-            if block is None:
-                skipped = self.shadows.skipped_range(address)
-                if skipped is not None:
-                    # Certified allocation (shadow creation was skipped):
-                    # cache the whole range as a skip and bail out.
-                    self._lookup_host = (skipped[0], skipped[1], None, None)
-                    self.cert_access_skips += 1
-                    return True
-                return False  # freed or foreign memory: not a mapping question
-            # Is this host range unified-mapped?  (Unified CVs share the host
-            # address, so the mapping registry is keyed by this same address.)
-            rec = self.mappings.find(address)
-            lo, hi = block.base, block.base + block.nbytes
-            if rec is not None:
-                # The pair is valid where the block and mapping intersect.
-                lo = max(lo, rec.cv_base)
-                hi = min(hi, rec.cv_end)
-                self._lookup_host = (lo, hi, block, rec)
-            elif not self.mappings.overlaps_cv(lo, hi):
-                # No CV interval touches this block at all: the "no mapping"
-                # answer holds for every address in it.
-                self._lookup_host = (lo, hi, block, None)
+            return False  # freed or foreign memory: not a mapping question
+        # Is this host range unified-mapped?  (Unified CVs share the host
+        # address, so the mapping registry is keyed by this same address.)
+        rec = self.mappings.find(address)
         if rec is not None and rec.unified:
             ops = (
                 (VsmOp.WRITE_HOST, VsmOp.UPDATE_TARGET)
@@ -939,13 +909,13 @@ class Arbalest(Tool):
         return total
 
     def mapping_lookup_stats(self) -> tuple[int, int]:
-        """(fast-path hits, slow-path misses) over the whole lookup stack.
+        """(fast-path hits, slow-path misses) of the mapping tree.
 
-        Hits count both the detector's host-side pair cache and the
-        mapping tree's own stab cache; misses are the tree descents.
+        Hits are stabs served by the tree's lookup cache (which
+        :meth:`MappingRegistry.disable_cache_for_ablation` switches off);
+        misses are the tree descents.
         """
-        hits, misses = self.mappings.lookup_stats
-        return hits + self._lookup_cache_hits, misses
+        return self.mappings.lookup_stats
 
     def cert_stats(self) -> dict:
         """Accounting of static-assisted pruning (certificate mode)."""

@@ -126,15 +126,6 @@ class MappingRegistry:
             self._records.remove(record)
         return victims
 
-    def overlaps_cv(self, lo: int, hi: int) -> bool:
-        """Whether any live CV interval overlaps ``[lo, hi)``.
-
-        Used by the detector's host-side lookup cache: a host block with no
-        overlapping CV interval can cache its "no mapping" answer for the
-        whole block range.
-        """
-        return self._tree.first_overlap(lo, hi) is not None
-
     def find_by_ov(self, ov_address: int) -> MappingRecord | None:
         """A live mapping whose host section contains ``ov_address``.
 

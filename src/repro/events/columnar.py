@@ -6,14 +6,15 @@ one interpreter round-trip *per element per tool*.  The columnar engine
 instead parks accesses on the bus as plain *rows* — tuples in
 :class:`~repro.events.records.Access` field order, recorded at the source
 with the call stack already pinned — and flushes them as an
-:class:`EventBatch` through the tools' ``on_batch`` protocol.  The batch
-builds numpy columns ``(device, thread, address, size, is_write, count,
-stride)`` from the rows in one transpose, so the VSM table lookups and
-FastTrack epoch comparisons in the hot path run as whole-array
-gather/scatter, and it creates an ``Access`` object only for a row a tool
-actually indexes (a scalar replay, a finding).  Accesses that arrived as
-objects (trace replays, serve shards) ride in the same pending list and are
-handed back as those very objects.
+:class:`EventBatch` through the tools' ``on_batch`` protocol.  Only the
+ARBALEST detector overrides ``on_batch``; every other tool gets the
+default replay through its ``on_access``.  The batch builds numpy columns
+``(device, thread, address, size, is_write, count)`` from the rows in one
+transpose, so the detector's VSM table lookups and FastTrack epoch
+comparisons run as whole-array gather/scatter, and it creates an
+``Access`` object only for a row a tool actually indexes (a replay, a
+finding).  Accesses that arrived as objects (trace replays, serve shards)
+ride in the same pending list and are handed back as those very objects.
 
 Ordering contract (see EXPERIMENTS.md §N): a batch only ever spans a window
 in which mappings, shadow blocks, and thread clocks are frozen, because the
@@ -38,7 +39,7 @@ BATCH_CAP = 65536
 
 #: Below this many pending accesses a flush dispatches per-event through
 #: ``on_access`` instead of building an :class:`EventBatch`: column
-#: construction and the vectorized setup in each tool's ``on_batch`` have a
+#: construction and the detector's vectorized ``on_batch`` setup have a
 #: fixed cost that only amortizes over runs of scalar traffic, and bulk
 #: kernels produce batches of a handful of large accesses where that setup
 #: is pure overhead.
@@ -79,7 +80,6 @@ class BatchColumns:
         "sizes",
         "is_write",
         "counts",
-        "strides",
     )
 
     def __init__(self, rows: Sequence[Row]):
@@ -88,14 +88,13 @@ class BatchColumns:
             fields = list(zip(*rows))
         except TypeError:  # some rows were published as Access objects
             fields = list(zip(*[r if type(r) is tuple else access_row(r) for r in rows]))
-        dev, tid, addr, size, write, count, stride = fields[:7] if n else [()] * 7
+        dev, tid, addr, size, write, count = fields[:6] if n else [()] * 6
         self.device_ids = np.fromiter(dev, np.int64, count=n)
         self.thread_ids = np.fromiter(tid, np.int64, count=n)
         self.addresses = np.fromiter(addr, np.int64, count=n)
         self.sizes = np.fromiter(size, np.int64, count=n)
         self.is_write = np.fromiter(write, np.bool_, count=n)
         self.counts = np.fromiter(count, np.int64, count=n)
-        self.strides = np.fromiter(stride, np.int64, count=n)
 
 
 class BatchAccesses(Sequence):

@@ -373,6 +373,35 @@ def _decode_line(line_number: int, line: str):
         )
 
 
+def _decode_records(
+    source: IO[str], strict: bool, result: PartialTrace
+) -> Iterator[object]:
+    """The decode loop shared by :func:`load_trace` and :func:`read_trace`.
+
+    Yields each decoded event and tallies reads and skips into ``result``;
+    at the end of the stream issues one :class:`TraceWarning` (attributed
+    to the public function's caller) when anything was skipped.
+    """
+    for line_number, line in enumerate(source, start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            event = _decode_line(line_number, line)
+        except TraceDecodeError as exc:
+            if strict:
+                raise
+            result.records_skipped += 1
+            result.errors.append((exc.line_number, exc.reason))
+            continue
+        result.records_read += 1
+        yield event
+    if not result.ok:
+        warnings.warn(
+            TraceWarning(result.summary(), errors=result.errors), stacklevel=3
+        )
+
+
 def load_trace(source: IO[str], *, strict: bool = False) -> PartialTrace:
     """Load a JSON-lines trace, tolerating truncated/corrupted records.
 
@@ -381,22 +410,7 @@ def load_trace(source: IO[str], *, strict: bool = False) -> PartialTrace:
     ``strict=True`` the first bad record raises :class:`TraceDecodeError`.
     """
     result = PartialTrace()
-    for line_number, line in enumerate(source, start=1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            result.events.append(_decode_line(line_number, line))
-            result.records_read += 1
-        except TraceDecodeError as exc:
-            if strict:
-                raise
-            result.records_skipped += 1
-            result.errors.append((exc.line_number, exc.reason))
-    if not result.ok:
-        warnings.warn(
-            TraceWarning(result.summary(), errors=result.errors), stacklevel=2
-        )
+    result.events.extend(_decode_records(source, strict, result))
     return result
 
 
@@ -408,34 +422,7 @@ def read_trace(source: IO[str], *, strict: bool = False) -> Iterator[object]:
     anything was skipped.  ``strict=True`` raises :class:`TraceDecodeError`
     on the first bad record instead.
     """
-    read = 0
-    errors: list[tuple[int, str]] = []
-    for line_number, line in enumerate(source, start=1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            event = _decode_line(line_number, line)
-        except TraceDecodeError as exc:
-            if strict:
-                raise
-            errors.append((exc.line_number, exc.reason))
-            continue
-        read += 1
-        yield event
-    if errors:
-        first_line, first_reason = errors[0]
-        lines = tuple(line for line, _ in errors)
-        warnings.warn(
-            TraceWarning(
-                f"partial trace load: read {read} records, skipped "
-                f"{len(errors)} malformed/truncated at line(s) "
-                f"{_format_lines(lines)} "
-                f"(first: line {first_line}: {first_reason})",
-                errors=errors,
-            ),
-            stacklevel=2,
-        )
+    yield from _decode_records(source, strict, PartialTrace())
 
 
 def replay(events: Iterable[object], tools: Iterable[Tool]) -> ToolBus:

@@ -23,7 +23,14 @@ import random
 from dataclasses import dataclass, field, replace
 
 from ..events.trace_io import event_to_json
-from ..events.wire import Frame, FrameDecoder, FrameKind, TraceContext, json_payload
+from ..events.wire import (
+    Frame,
+    FrameDecoder,
+    FrameKind,
+    TraceContext,
+    event_frame,
+    json_payload,
+)
 
 __all__ = ["ServeClient", "SessionResult", "RetryPolicy", "DeliveryError"]
 
@@ -166,12 +173,7 @@ class ServeClient:
 
         # First pass: stream every event once.
         for seq, payload in enumerate(payloads):
-            absorb(
-                self._exchange(
-                    Frame(FrameKind.EVENT, self.client_id, seq, json_payload(payload)),
-                    result,
-                )
-            )
+            absorb(self._exchange(event_frame(self.client_id, seq, payload), result))
 
         # Repair passes: retransmit past the watermark until all acked.
         attempt = 0
@@ -189,13 +191,7 @@ class ServeClient:
                 result.retransmits += 1
                 absorb(
                     self._exchange(
-                        Frame(
-                            FrameKind.EVENT,
-                            self.client_id,
-                            seq,
-                            json_payload(payloads[seq]),
-                        ),
-                        result,
+                        event_frame(self.client_id, seq, payloads[seq]), result
                     )
                 )
             if acked_through > before:

@@ -25,6 +25,7 @@ in-flight batch can never be lost to shutdown timing.
 
 from __future__ import annotations
 
+import json
 from time import perf_counter
 from dataclasses import dataclass, field
 
@@ -60,7 +61,8 @@ class _Session:
     ledger: DeliveryLedger = field(default_factory=DeliveryLedger)
     meta: dict = field(default_factory=dict)
     next_seq: int = 0
-    reorder: dict[int, dict] = field(default_factory=dict)
+    #: Parked EVENT payloads (raw bytes, decoded when applied), by seq.
+    reorder: dict[int, bytes] = field(default_factory=dict)
     finished: bool = False
     degraded: bool = False
     out_seq: int = 0
@@ -218,23 +220,31 @@ class AnalysisServer:
             ),
         )
 
-    def _dispatch(self, session: _Session, seq: int, event: dict) -> Frame | None:
-        """Dispatch one in-order event; returns an ERROR frame on failure.
+    def _dispatch(self, session: _Session, seq: int, payload: bytes) -> Frame | None:
+        """Decode and dispatch one in-order event; ERROR frame on failure.
 
-        A structurally broken event record (missing tag, wrong field
-        type) raises out of routing or the shard's record builder.  The
-        frame is *consumed* — retransmitting identical bytes cannot fix
-        a CRC-valid payload — and the failure surfaces as a decode
-        error, not a wedged stream.
+        A payload that is not JSON, not a JSON object, or a structurally
+        broken event record (missing tag, wrong field type) fails here.
+        The frame is *consumed* — retransmitting identical bytes cannot
+        fix a CRC-valid payload — and the failure surfaces as a decode
+        error in sequence order, not a wedged stream.
         """
         try:
-            session.supervisor.dispatch(session.client_id, seq, event)
-            return None
-        except (KeyError, ValueError, TypeError) as exc:
-            return self._payload_error(
-                Frame(FrameKind.EVENT, session.client_id, seq),
-                f"{type(exc).__name__}: {exc}",
-            )
+            event = json.loads(payload.decode("utf-8"))
+        except ValueError as exc:
+            detail = f"not JSON: {exc}"
+        else:
+            if not isinstance(event, dict):
+                detail = f"event payload is {type(event).__name__}, not an object"
+            else:
+                try:
+                    session.supervisor.dispatch(session.client_id, seq, event)
+                    return None
+                except (KeyError, ValueError, TypeError) as exc:
+                    detail = f"{type(exc).__name__}: {exc}"
+        return self._payload_error(
+            Frame(FrameKind.EVENT, session.client_id, seq, payload), detail
+        )
 
     def _handle_event(self, frame: Frame) -> list[Frame]:
         session = self.session(frame.client_id)
@@ -267,17 +277,6 @@ class AnalysisServer:
             if observer is not None:
                 observer.count_redelivery()
             return [session.reply(FrameKind.NACK, seq=session.next_seq)]
-        try:
-            event = frame.json()
-        except ValueError as exc:
-            return [self._payload_error(frame, f"not JSON: {exc}")]
-        if not isinstance(event, dict):
-            return [
-                self._payload_error(
-                    frame,
-                    f"event payload is {type(event).__name__}, not an object",
-                )
-            ]
         if seq > session.next_seq:
             if len(session.reorder) >= self.config.queue_cap:
                 # Backpressure: shed the parked frame (the client still
@@ -304,12 +303,12 @@ class AnalysisServer:
                 if obs is not None and obs.metrics is not None:
                     obs.metrics.count("serve.shed_frames")
             else:
-                session.reorder[seq] = event
+                session.reorder[seq] = frame.payload
             session.nacks_sent += 1
             return [session.reply(FrameKind.NACK, seq=session.next_seq)]
         # In-order: apply, then drain everything the gap was blocking.
         errors: list[Frame] = []
-        failure = self._dispatch(session, seq, event)
+        failure = self._dispatch(session, seq, frame.payload)
         if failure is not None:
             errors.append(failure)
         session.next_seq += 1

@@ -646,11 +646,8 @@ class ArcherTool(Tool):
         obs = _obs.ACTIVE
         if obs is not None and obs.metrics is not None:
             obs.metrics.count("tool.archer.access_checks")
-        racy = self.engine.check_access(access)
-        if racy:
-            self._report_race(access)
-
-    def _report_race(self, access: "Access") -> None:
+        if not self.engine.check_access(access):
+            return
         self.report(
             Finding(
                 tool=self.name,
@@ -669,58 +666,6 @@ class ArcherTool(Tool):
                 ),
             )
         )
-
-    def on_batch(self, batch) -> None:
-        engine = self.engine
-        obs = _obs.ACTIVE
-        if obs is not None and obs.metrics is not None:
-            obs.metrics.count("tool.archer.access_checks", len(batch))
-        accesses = batch.accesses
-        cols = batch.columns
-        counts = cols.counts
-        racy_positions: list[int]
-        if bool((counts == 1).all()):
-            racy_positions = engine.check_batch(
-                cols.device_ids,
-                cols.thread_ids,
-                cols.addresses,
-                cols.sizes,
-                cols.is_write,
-            )
-        else:
-            # Bulk (multi-element) accesses interleave with scalar ones:
-            # vector-check the scalar runs, replay each bulk event in place.
-            racy_positions = []
-            bulk = np.flatnonzero(counts != 1)
-            start = 0
-            for b in bulk.tolist():
-                if b > start:
-                    racy_positions += [
-                        start + p
-                        for p in engine.check_batch(
-                            cols.device_ids[start:b],
-                            cols.thread_ids[start:b],
-                            cols.addresses[start:b],
-                            cols.sizes[start:b],
-                            cols.is_write[start:b],
-                        )
-                    ]
-                if engine.check_access(accesses[b]):
-                    racy_positions.append(b)
-                start = b + 1
-            if start < len(accesses):
-                racy_positions += [
-                    start + p
-                    for p in engine.check_batch(
-                        cols.device_ids[start:],
-                        cols.thread_ids[start:],
-                        cols.addresses[start:],
-                        cols.sizes[start:],
-                        cols.is_write[start:],
-                    )
-                ]
-        for pos in sorted(racy_positions):
-            self._report_race(accesses[pos])
 
     def on_memcpy(self, event: "MemcpyEvent") -> None:
         # The runtime's transfer is itself a read + a write on the acting

@@ -119,47 +119,11 @@ class AsanTool(Tool):
         obs = _obs.ACTIVE
         if obs is not None and obs.metrics is not None:
             obs.metrics.count("tool.asan.access_checks")
-        self._check_access(access)
-
-    def _check_access(self, access: "Access") -> None:
-        stride = access.element_stride
-        if access.count == 1 or stride == access.size:
+        if access.count == 1 or access.element_stride == access.size:
             self._check(access, access.address, access.span)
         else:
             for addr in access.element_addresses().tolist():
                 self._check(access, addr, access.size)
-
-    def on_batch(self, batch) -> None:
-        import numpy as np
-
-        obs = _obs.ACTIVE
-        if obs is not None and obs.metrics is not None:
-            obs.metrics.count("tool.asan.access_checks", len(batch))
-        cols = batch.columns
-        accesses = batch.accesses
-        # Vectorized screen: a contiguous access fully inside one live block
-        # can never report, whatever its kind — checking mutates nothing.
-        contiguous = (cols.counts == 1) | (cols.strides == cols.sizes)
-        spans = cols.sizes * cols.counts
-        ok = np.zeros(len(accesses), dtype=bool)
-        for dev in np.unique(cols.device_ids).tolist():
-            bases = self._bases.get(dev)
-            if not bases:
-                continue
-            m = contiguous & (cols.device_ids == dev)
-            if not bool(m.any()):
-                continue
-            b = np.asarray(bases, dtype=np.int64)
-            ends = b + np.fromiter(
-                (self._live[(dev, base)] for base in bases),
-                dtype=np.int64,
-                count=len(bases),
-            )
-            a = cols.addresses[m]
-            i = np.searchsorted(b, a, side="right") - 1
-            ok[m] = (i >= 0) & (a + spans[m] <= ends[np.maximum(i, 0)])
-        for p in np.flatnonzero(~ok).tolist():
-            self._check_access(accesses[p])
 
     def _check(self, access: "Access", address: int, span: int) -> None:
         block = self._containing_live(access.device_id, address)

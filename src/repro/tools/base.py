@@ -143,8 +143,9 @@ class Tool:
         recorder active; smaller flushes and recorded runs reach
         ``on_access`` directly, in scalar order.  The default
         implementation replays the batch through ``on_access`` one event
-        at a time, so every access-subscribing tool is correct; tools
-        override this to process the batch's numpy columns wholesale.
+        at a time, so every access-subscribing tool is correct.  Only the
+        ARBALEST detector overrides it, to process the batch's numpy
+        columns wholesale; the baseline models keep one access path.
         """
         on_access = self.on_access
         for access in batch.accesses:

@@ -83,30 +83,6 @@ class MsanTool(Tool):
         obs = _obs.ACTIVE
         if obs is not None and obs.metrics is not None:
             obs.metrics.count("tool.msan.access_checks")
-        self._handle_access(access)
-
-    def on_batch(self, batch) -> None:
-        obs = _obs.ACTIVE
-        if obs is not None and obs.metrics is not None:
-            obs.metrics.count("tool.msan.access_checks", len(batch))
-        # A device whose planes hold no poison at batch start stays that way
-        # for the whole batch (poison is born only at alloc/memcpy, both of
-        # which flush): its reads cannot report, its writes clear bytes that
-        # are already clear.  Skip those events wholesale.
-        dirty_devices = {
-            dev
-            for dev, bases in self._bases.items()
-            if any(self._poison[(dev, base)].any() for base in bases)
-        }
-        if not dirty_devices:
-            return
-        accesses = batch.accesses
-        handle = self._handle_access
-        for pos, dev in enumerate(batch.columns.device_ids.tolist()):
-            if dev in dirty_devices:
-                handle(accesses[pos])
-
-    def _handle_access(self, access: "Access") -> None:
         stride = access.element_stride
         if access.count == 1 or stride == access.size:
             spans = [(access.address, access.span)]

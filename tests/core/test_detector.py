@@ -309,6 +309,18 @@ class TestAccounting:
         hits, misses = det.mapping_lookup_stats()
         assert hits > 10 * misses
 
+    def test_cache_ablation_switches_off_every_host_hit(self):
+        # Ablation A2's hook must reach every host lookup: with the mapping
+        # tree's cache off, no host write is counted as a fast-path hit.
+        rt, det = setup(engine="scalar")
+        det.mappings.disable_cache_for_ablation()
+        a = rt.array("a", 64)
+        for i in range(64):
+            a[i] = float(i)
+        hits, misses = det.mapping_lookup_stats()
+        assert hits == 0
+        assert misses >= 64
+
     def test_metadata_recording_mode(self):
         rt = TargetRuntime(n_devices=1)
         det = Arbalest(record_access_metadata=True).attach(rt.machine)
@@ -321,7 +333,7 @@ class TestAccounting:
 
 
 class TestLookupCacheInvalidation:
-    """The (block, record) last-lookup caches must never serve stale pairs."""
+    """The shadow and mapping trees' lookup caches never serve stale entries."""
 
     OV = 1 << 32
     CV = 1 << 33
@@ -377,6 +389,11 @@ class TestLookupCacheInvalidation:
         det.on_access(
             Access(device_id=0, thread_id=0, address=self.OV, size=8, is_write=True)
         )
+        self.touch_device(det)
+
+    def touch_device(self, det):
+        from repro.events import Access
+
         det.on_access(
             Access(device_id=1, thread_id=0, address=self.CV, size=8, is_write=True)
         )
@@ -388,10 +405,9 @@ class TestLookupCacheInvalidation:
         block = det.shadows.find(self.OV)
         rec = det.mappings.find(self.CV)
         self.touch(det)
-        assert det._lookup_host is not None and det._lookup_host[2] is block
         # The device side is served by the mapping tree's own cache.
         hits, misses = det.mappings.lookup_stats
-        self.touch(det)
+        self.touch_device(det)
         assert det.mappings.lookup_stats == (hits + 1, misses)
         assert det.mappings.find(self.CV) is rec
 
@@ -401,10 +417,10 @@ class TestLookupCacheInvalidation:
         self.map_(det)
         self.touch(det)
         self.unmap(det)
-        assert det._lookup_host is None and det.mappings.find(self.CV) is None
-        self.touch(det)  # re-primes the host cache (mapping gone)
+        assert det.mappings.find(self.CV) is None
+        self.touch(det)  # re-primes the shadow tree's cache (mapping gone)
         self.free(det)
-        assert det._lookup_host is None and det.shadows.find(self.OV) is None
+        assert det.shadows.find(self.OV) is None
 
     def test_reallocate_same_base_yields_fresh_pair(self):
         # allocate -> map -> access -> unmap/free -> reallocate at the SAME
@@ -424,7 +440,6 @@ class TestLookupCacheInvalidation:
         block2 = det.shadows.find(self.OV)
         rec2 = det.mappings.find(self.CV)
         assert block2 is not block1 and rec2 is not rec1
-        assert det._lookup_host[2] is block2
 
 
 class TestDoubleDelete:
